@@ -25,7 +25,6 @@ from .errors import (
     DegenerateGame,
     EmptyTrajectory,
     FeedbackOutOfRange,
-    NoConvergenceWarning,
     NotCase3,
     NotInSimplex,
     StepTooLarge,

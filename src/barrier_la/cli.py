@@ -230,15 +230,14 @@ def _cmd_ode_field(args) -> int:
     spec = _load_spec(args)
     if args.grid_n < 2:
         raise ValueError("grid-n must be >= 2")
+    dynamics._check_p_max(args.pmax)
     grid = np.linspace(0.0, 1.0, args.grid_n)
+    p1, q1 = (g.ravel() for g in np.meshgrid(grid, grid, indexing="ij"))
+    w1, w2 = dynamics._field(spec, p1, q1, args.pmax)
+    rows = zip(p1.tolist(), q1.tolist(), w1.tolist(), w2.tolist())
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("p1,q1,w1,w2\n")
-        for p1 in grid:
-            for q1 in grid:
-                w = dynamics.vector_field(spec, JointState(p1, q1), args.pmax)
-                fh.write(
-                    ",".join(format(v, ".17g") for v in (p1, q1, w.w1, w.w2)) + "\n"
-                )
+        fh.writelines(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
     return 0
 
 

@@ -3,8 +3,10 @@
 The expected one-step increment of the joint state X = (p1, q1), divided
 by the learning rate, defines a drift field W(X).  This module evaluates
 W and its analytic Jacobian, integrates the mean ODE dX/dt = W(X) with a
-fixed-step RK4 scheme, and locates/classifies the fixed points of W with
-multistart Newton iterations.
+fixed-step RK4 scheme on plain floats, and locates/classifies the fixed
+points of W exactly: w1 is linear in q1, so eliminating q1 leaves a
+degree-5 resultant in p1 whose real roots are the only candidates, each
+polished by Newton's method.
 
 The same drift serves both feedback models: with Bernoulli feedback the
 payoff entries act as reward probabilities, with scalar feedback they act
@@ -14,14 +16,13 @@ as step-size weights, and the expected increment is identical.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateGame, NoConvergenceWarning, NotInSimplex, StepTooLarge, WrongModel
-from .game import GameSpec, JointState, Model, RewardPenalty, mixed_equilibrium
+from .errors import DegenerateGame, StepTooLarge, WrongModel
+from .game import GameSpec, JointState, Model, RewardPenalty
 from .learner import LearnerConfig, MixedStrategy, lri_update
 
 DRIFT_STOP_TOL = 1e-10
@@ -29,6 +30,9 @@ NEWTON_DRIFT_TOL = 1e-12
 NEWTON_MAX_ITER = 200
 DEDUP_TOL = 1e-6
 STAGE_BOX = (-0.1, 1.1)
+STATE_TOL = 1e-9  # slack of the [0, 1]^2 check on trajectory states
+ROOT_SLACK = 1e-6  # imaginary part and box overshoot allowed for resultant roots
+COMMON_ROOT_TOL = 1e-6  # |A|, |B| relative to their coefficient sums at a common root
 
 
 @dataclass(frozen=True)
@@ -101,7 +105,7 @@ class Trajectory:
         if len(self.t) > 1 and not np.all(np.diff(self.t) > 0):
             raise ValueError("trajectory times must be strictly increasing")
         if len(self.x) and not (
-            self.x.min() >= -1e-9 and self.x.max() <= 1.0 + 1e-9
+            self.x.min() >= -STATE_TOL and self.x.max() <= 1.0 + STATE_TOL
         ):
             raise ValueError("trajectory states must lie in [0, 1]^2")
 
@@ -214,77 +218,71 @@ def integrate(
     """Classical fixed-step RK4 path of dX/dt = W(X) starting at x0.
 
     Stops early once the drift norm falls below 1e-10.  Raises
-    StepTooLarge if any RK stage leaves the sanity box [-0.1, 1.1]^2,
-    which indicates the step size is too coarse for the field.
+    StepTooLarge if any RK stage leaves the sanity box [-0.1, 1.1]^2 or an
+    accepted state leaves [0, 1]^2, which indicates the step size is too
+    coarse for the field.  The state is two floats; each coordinate sees
+    the operations of the vector form k1 + 2 k2 + 2 k3 + k4 in that order.
     """
     _check_p_max(p_max)
     if step <= 0.0:
         raise ValueError("step must be positive")
     lo, hi = STAGE_BOX
-    x = np.array([x0.p1, x0.q1])
+
+    def stage(p: float, q: float) -> tuple[float, float]:
+        if not (lo <= p <= hi and lo <= q <= hi):
+            raise StepTooLarge(f"RK stage ({p}, {q}) left the box [{lo}, {hi}]^2")
+        return _field(spec, p, q, p_max)
+
+    h2 = 0.5 * step
+    h6 = step / 6.0
+    p, q = float(x0.p1), float(x0.q1)
     ts = [0.0]
-    xs = [x.copy()]
+    xs = [p, q]
     n_steps = int(math.floor(t_max / step + 1e-9))
-
-    def f(y: np.ndarray) -> np.ndarray:
-        w1, w2 = _field(spec, y[0], y[1], p_max)
-        return np.array([w1, w2])
-
-    def check(y: np.ndarray) -> np.ndarray:
-        if not (lo <= y[0] <= hi and lo <= y[1] <= hi):
-            raise StepTooLarge(f"RK stage {y} left the box [{lo}, {hi}]^2")
-        return y
-
     for i in range(1, n_steps + 1):
-        w = f(x)
-        if math.hypot(w[0], w[1]) < DRIFT_STOP_TOL:
+        a1, b1 = _field(spec, p, q, p_max)
+        if math.hypot(a1, b1) < DRIFT_STOP_TOL:
             break
-        k1 = w
-        k2 = f(check(x + 0.5 * step * k1))
-        k3 = f(check(x + 0.5 * step * k2))
-        k4 = f(check(x + step * k3))
-        x = check(x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        a2, b2 = stage(p + h2 * a1, q + h2 * b1)
+        a3, b3 = stage(p + h2 * a2, q + h2 * b2)
+        a4, b4 = stage(p + step * a3, q + step * b3)
+        p += h6 * (((a1 + 2.0 * a2) + 2.0 * a3) + a4)
+        q += h6 * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+        if not (-STATE_TOL <= p <= 1.0 + STATE_TOL and -STATE_TOL <= q <= 1.0 + STATE_TOL):
+            raise StepTooLarge(f"RK4 state ({p}, {q}) at t = {i * step} left [0, 1]^2")
         ts.append(i * step)
-        xs.append(x.copy())
-    return Trajectory(TrajectoryKind.ODE, np.array(ts), np.array(xs))
+        xs += (p, q)
+    return Trajectory(TrajectoryKind.ODE, np.array(ts), np.array(xs).reshape(-1, 2))
 
 
 def fixed_points(
     spec: GameSpec,
     p_max: float,
-    grid_n: int = 11,
     drift_tol: float = NEWTON_DRIFT_TOL,
     max_iter: int = NEWTON_MAX_ITER,
     dedup_tol: float = DEDUP_TOL,
 ) -> list[FixedPoint]:
     """All fixed points of the drift inside the barrier box, with stability.
 
-    Newton iterations with the analytic Jacobian are started from a
-    grid_n x grid_n lattice over [p_min, p_max]^2 plus the analytic mixed
-    equilibrium when it exists.  Converged roots are kept when they lie in
-    the barrier box, deduplicated at distance dedup_tol, labeled by the
-    det/trace test and sorted by p1.  Seeds that fail to converge are
-    skipped and surfaced as a NoConvergenceWarning with their count.
+    w1 = A(p1) + q1 B(p1) is linear in q1 and w2 = c0(p1) + c1(p1) q1 +
+    c2(p1) q1^2 is quadratic in it, so every fixed point with B != 0 has
+    q1 = -A/B and p1 a real root of the degree-5 resultant
+    c0 B^2 - c1 A B + c2 A^2.  Where A and B vanish together, w1 = 0 on the
+    whole line through that p1 and the candidates are the roots of the
+    quadratic w2(p1, .).  Candidates in [p_min, p_max] are polished by
+    Newton with the analytic Jacobian down to |W| <= drift_tol, kept when
+    they lie in the barrier box, deduplicated at distance dedup_tol,
+    labeled by the det/trace test and sorted by p1.  Raises DegenerateGame
+    when the resultant vanishes identically.
     """
     if not 0.5 < p_max < 1.0:
         raise ValueError("p_max must be in (0.5, 1) for fixed-point search")
     p_min = 1.0 - p_max
-    seeds = [
-        (a, b)
-        for a in np.linspace(p_min, p_max, grid_n)
-        for b in np.linspace(p_min, p_max, grid_n)
-    ]
-    try:
-        seeds.append(mixed_equilibrium(spec))
-    except (DegenerateGame, NotInSimplex):
-        pass
 
     roots: list[tuple[float, float, float]] = []
-    failures = 0
-    for s in seeds:
+    for s in _candidates(spec, p_max):
         res = _newton(spec, s, p_max, drift_tol, max_iter)
         if res is None:
-            failures += 1
             continue
         p1, q1, wnorm = res
         if not (p_min - 1e-9 <= p1 <= p_max + 1e-9 and p_min - 1e-9 <= q1 <= p_max + 1e-9):
@@ -292,12 +290,6 @@ def fixed_points(
         if any(math.hypot(p1 - r[0], q1 - r[1]) < dedup_tol for r in roots):
             continue
         roots.append((p1, q1, wnorm))
-    if failures:
-        warnings.warn(
-            f"{failures} of {len(seeds)} Newton seeds failed to converge",
-            NoConvergenceWarning,
-            stacklevel=2,
-        )
 
     out = []
     for p1, q1, wnorm in sorted(roots):
@@ -312,6 +304,47 @@ def fixed_points(
             stab = Stability.UNSTABLE
         x = JointState(float(min(max(p1, 0.0), 1.0)), float(min(max(q1, 0.0), 1.0)))
         out.append(FixedPoint(x, float(wnorm), jac, det, trace, stab))
+    return out
+
+
+def _candidates(spec: GameSpec, p_max: float) -> list[tuple[float, float]]:
+    """Newton starts for fixed_points: one per real root of the resultant in
+    the box, plus the quadratic's roots where A and B share that root.
+
+    Coefficient arrays run from the highest power of p1 down, as np.roots
+    and np.polyval take them.
+    """
+    p_min = 1.0 - p_max
+    R, C = spec.R, spec.C
+    u = np.array([-1.0, p_max, 0.0])  # p1 (p_max - p1)
+    v = np.array([1.0, -1.0 - p_min, p_min])  # (1 - p1)(p_min - p1)
+    a = R.r12 * u + R.r22 * v
+    b = (R.r11 - R.r12) * u + (R.r21 - R.r22) * v
+    d1b = np.array([C.r11 - C.r21, C.r21])
+    d2b = np.array([C.r12 - C.r22, C.r22])
+    c0 = p_min * d2b
+    c1 = p_max * d1b - (1.0 + p_min) * d2b
+    c2 = d2b - d1b
+    resultant = (
+        np.convolve(c0, np.convolve(b, b))
+        - np.convolve(c1, np.convolve(a, b))
+        + np.convolve(c2, np.convolve(a, a))
+    )
+    if not resultant.any():
+        raise DegenerateGame("the fixed-point resultant vanishes identically")
+    a_tol = COMMON_ROOT_TOL * float(np.abs(a).sum())
+    b_tol = COMMON_ROOT_TOL * float(np.abs(b).sum())
+    out = []
+    for r in np.roots(resultant):
+        p1 = float(r.real)
+        if abs(r.imag) > ROOT_SLACK or not p_min - ROOT_SLACK <= p1 <= p_max + ROOT_SLACK:
+            continue
+        a_p, b_p = float(np.polyval(a, p1)), float(np.polyval(b, p1))
+        if b_p != 0.0:
+            out.append((p1, -a_p / b_p))
+        if abs(a_p) <= a_tol and abs(b_p) <= b_tol:
+            quad = [float(np.polyval(c, p1)) for c in (c2, c1, c0)]
+            out += [(p1, float(q.real)) for q in np.roots(quad) if abs(q.imag) <= ROOT_SLACK]
     return out
 
 

@@ -30,8 +30,4 @@ class NotCase3(ValueError):
 
 
 class StepTooLarge(ArithmeticError):
-    """An integrator stage left the sanity box [-0.1, 1.1]^2."""
-
-
-class NoConvergenceWarning(RuntimeWarning):
-    """Some Newton seeds failed to converge and were skipped."""
+    """An RK4 stage left the sanity box [-0.1, 1.1]^2 or a state left [0, 1]^2."""

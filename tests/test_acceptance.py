@@ -7,12 +7,12 @@ Three checks measure against a reference that the game and its drift
 field define, not against externally quoted numbers:
 
 * criterion 6: the case3 fixed points are compared with the planar roots
-  of W = 0 found by an oracle written here from the matrix entries alone
-  (elimination of q1 from w1 = 0 and bisection in p1).  The quoted
-  reference coordinates solve the one-dimensional symmetric reduction
-  w2(q, q) = 0, not the planar system; they stay in the file and are
-  asserted to be exactly that, so a reader sees why they are not the
-  target (they miss the planar roots by up to 1.53e-3).
+  of W = 0 found by ``conftest.planar_root_oracle``, written from the
+  matrix entries alone (elimination of q1 from w1 = 0 and bisection in
+  p1).  The quoted reference coordinates solve the one-dimensional
+  symmetric reduction w2(q, q) = 0, not the planar system; they stay in
+  the file and are asserted to be exactly that, so a reader sees why they
+  are not the target (they miss the planar roots by up to 1.53e-3).
 * criterion 7 and the basin part of criterion 8: the expected fractions
   are the mean-ODE basin of the start state (0.5, 0.5).  The drift there
   is (-0.01225, 0) and the separatrix crosses the diagonal near 0.600, so
@@ -24,7 +24,6 @@ start states are the stated ones.
 
 import math
 import time
-import warnings
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from barrier_la import (
     JointState,
     LearnerConfig,
     Model,
-    NoConvergenceWarning,
     PayoffMatrix,
     SimConfig,
     Stability,
@@ -54,7 +52,7 @@ from barrier_la import (
     vector_field,
 )
 
-warnings.simplefilter("ignore", NoConvergenceWarning)
+from conftest import bisect_root, drift_from_entries, planar_root_oracle
 
 CASE1 = preset("case1")
 CASE2 = preset("case2")
@@ -87,18 +85,6 @@ def spearman(x, y) -> float:
     return float((rx * ry).sum() / math.sqrt((rx * rx).sum() * (ry * ry).sum()))
 
 
-def bisect_root(gap, lo: float, hi: float, iters: int = 80) -> float:
-    f_lo = gap(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if f_lo * gap(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-            f_lo = gap(lo)
-    return 0.5 * (lo + hi)
-
-
 def grid_best_response_oracle(spec: GameSpec) -> tuple[float, float]:
     """Locate the interior equilibrium by scanning each player's payoff gap
     on a dense grid and bisecting the sign change; independent of the
@@ -122,61 +108,6 @@ def grid_best_response_oracle(spec: GameSpec) -> tuple[float, float]:
     q_opt = bisect_root(gap_a, grid[ia], grid[ia + 1])
     p_opt = bisect_root(gap_b, grid[ib], grid[ib + 1])
     return p_opt, q_opt
-
-
-def drift_from_entries(spec: GameSpec, p1, q1, p_max: float):
-    """The planar drift (w1, w2) written out from the payoff entries; takes
-    floats or numpy arrays."""
-    p_min = 1.0 - p_max
-    R, C = spec.R, spec.C
-    w1 = p1 * (p_max - p1) * (q1 * R.r11 + (1 - q1) * R.r12) + (1 - p1) * (p_min - p1) * (
-        q1 * R.r21 + (1 - q1) * R.r22
-    )
-    w2 = q1 * (p_max - q1) * (p1 * C.r11 + (1 - p1) * C.r21) + (1 - q1) * (p_min - q1) * (
-        p1 * C.r12 + (1 - p1) * C.r22
-    )
-    return w1, w2
-
-
-def planar_root_oracle(
-    spec: GameSpec, p_max: float, n: int = 100_001
-) -> list[tuple[float, float]]:
-    """All roots of the planar system W = 0 in the barrier box, sorted by p1;
-    independent of the Newton search in fixed_points.
-
-    w1 is linear in q1, so w1 = 0 gives q1 = -a(p1) / b(p1).  Substituting
-    that into w2 leaves a function of p1 alone, whose sign changes on a fine
-    grid over [p_min, p_max] are bisected.  Brackets across a pole (b changes
-    sign) are skipped.  A root is kept only if its drift is tiny and its own
-    q1 lies in the box; the q1 of the grid neighbours may not.
-    """
-    p_min = 1.0 - p_max
-    R = spec.R
-
-    def q_of(p1):
-        a = p1 * (p_max - p1) * R.r12 + (1 - p1) * (p_min - p1) * R.r22
-        b = p1 * (p_max - p1) * (R.r11 - R.r12) + (1 - p1) * (p_min - p1) * (R.r21 - R.r22)
-        return -a / b, b
-
-    def reduced(p1):
-        return drift_from_entries(spec, p1, q_of(p1)[0], p_max)[1]
-
-    grid = np.linspace(p_min, p_max, n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = reduced(grid)
-        b = q_of(grid)[1]
-    roots: list[tuple[float, float]] = []
-    for i in np.nonzero((g[:-1] * g[1:] <= 0) & (b[:-1] * b[1:] > 0))[0]:
-        p1 = bisect_root(reduced, grid[i], grid[i + 1])
-        q1 = q_of(p1)[0]
-        if not p_min <= q1 <= p_max:
-            continue
-        if math.hypot(*drift_from_entries(spec, p1, q1, p_max)) > 1e-10:
-            continue
-        if roots and p1 - roots[-1][0] < 1e-9:
-            continue  # a grid point sat on the root: two brackets share it
-        roots.append((p1, q1))
-    return roots
 
 
 def ode_predicted_fractions(spec: GameSpec, x0: JointState, p_max: float, points):

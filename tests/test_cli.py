@@ -165,6 +165,21 @@ class TestOdeCommands:
         ref = vector_field(case1, JointState(0.5, 0.5), 0.99)
         assert (w1, w2) == (ref.w1, ref.w2)
 
+    def test_field_rows_equal_pointwise_vector_field(self, capsys, tmp_path, case3):
+        out = tmp_path / "f11.csv"
+        rc, _, _ = run_cli(
+            capsys, "ode-field", "--preset", "case3", "--pmax", "0.993",
+            "--grid-n", "11", "--out", str(out),
+        )
+        assert rc == 0
+        rows = out.read_text().splitlines()[1:]
+        want = []
+        for p1 in np.linspace(0.0, 1.0, 11):
+            for q1 in np.linspace(0.0, 1.0, 11):
+                w = vector_field(case3, JointState(p1, q1), 0.993)
+                want.append(",".join(format(v, ".17g") for v in (p1, q1, w.w1, w.w2)))
+        assert rows == want
+
     def test_trajectory_csv(self, capsys, tmp_path):
         out = tmp_path / "ode.csv"
         rc, _, _ = run_cli(
@@ -180,6 +195,16 @@ class TestOdeCommands:
         rc, _, err = run_cli(
             capsys, "ode-trajectory", "--preset", "case1", "--pmax", "0.99",
             "--ode-step", "100000", "--t-max", "1000000",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert rc == 2
+        assert "numerical error" in err
+
+    def test_rk4_state_outside_unit_square_is_numerical_error(self, capsys, tmp_path):
+        rc, _, err = run_cli(
+            capsys, "ode-trajectory", "--preset", "case2",
+            "--p0", "0.27899524521331553", "--q0", "0.0593345829787469",
+            "--ode-step", "15.821770123928726", "--t-max", "316.43540247857453",
             "--out", str(tmp_path / "x.csv"),
         )
         assert rc == 2

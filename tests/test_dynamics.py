@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barrier_la import (
+    DegenerateGame,
     GameSpec,
     JointState,
     LearnerConfig,
     Model,
-    NoConvergenceWarning,
     PayoffMatrix,
     Stability,
     StepTooLarge,
@@ -27,7 +27,8 @@ from barrier_la import (
     vector_field,
 )
 
-from conftest import random_game
+from barrier_la.dynamics import STAGE_BOX
+from conftest import bisect_root, drift_from_entries, planar_root_oracle, random_game
 
 
 def fd_jacobian(spec, x, p_max, h=1e-6):
@@ -42,16 +43,48 @@ def fd_jacobian(spec, x, p_max, h=1e-6):
 
 
 def stable_points(spec, p_max):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NoConvergenceWarning)
-        pts = fixed_points(spec, p_max)
-    return [fp for fp in pts if fp.stability is Stability.STABLE]
+    return [fp for fp in fixed_points(spec, p_max) if fp.stability is Stability.STABLE]
 
 
-def all_points(spec, p_max):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NoConvergenceWarning)
-        return fixed_points(spec, p_max)
+def array_integrate_oracle(spec, x0, p_max, step, t_max):
+    """RK4 on 2-element numpy arrays, one array per stage: the integrator as
+    first written.  The float-based integrate must reproduce it bit for bit;
+    its accepted states outside [0, 1]^2 surface as the ValueError of
+    Trajectory."""
+    lo, hi = STAGE_BOX
+    x = np.array([x0.p1, x0.q1])
+    ts = [0.0]
+    xs = [x.copy()]
+    n_steps = int(math.floor(t_max / step + 1e-9))
+
+    def f(y):
+        return np.array(drift_from_entries(spec, y[0], y[1], p_max))
+
+    def check(y):
+        if not (lo <= y[0] <= hi and lo <= y[1] <= hi):
+            raise StepTooLarge(f"RK stage {y} left the box")
+        return y
+
+    for i in range(1, n_steps + 1):
+        w = f(x)
+        if math.hypot(w[0], w[1]) < 1e-10:
+            break
+        k1 = w
+        k2 = f(check(x + 0.5 * step * k1))
+        k3 = f(check(x + 0.5 * step * k2))
+        k4 = f(check(x + step * k3))
+        x = check(x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        ts.append(i * step)
+        xs.append(x.copy())
+    return Trajectory(TrajectoryKind.ODE, np.array(ts), np.array(xs))
+
+
+def oracle_label(spec, p1, q1, p_max):
+    jac = jacobian(spec, JointState(p1, q1), p_max)
+    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+    if det > 0 and jac[0, 0] + jac[1, 1] < 0:
+        return Stability.STABLE
+    return Stability.SADDLE if det < 0 else Stability.UNSTABLE
 
 
 class TestDrives:
@@ -188,6 +221,28 @@ class TestIntegrate:
         with pytest.raises(StepTooLarge):
             integrate(case1, JointState(0.5, 0.5), 0.99, step=1e4, t_max=1e5)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p0=st.floats(0.0, 1.0),
+        q0=st.floats(0.0, 1.0),
+        p_max=st.floats(0.9, 1.0),
+        step=st.floats(1e-3, 20.0),
+        n=st.integers(1, 300),
+    )
+    def test_matches_array_oracle_bit_for_bit(self, seed, p0, q0, p_max, step, n):
+        spec = random_game(np.random.default_rng(seed))
+        x0 = JointState(p0, q0)
+        try:
+            want = array_integrate_oracle(spec, x0, p_max, step, n * step)
+        except (StepTooLarge, ValueError):
+            with pytest.raises(StepTooLarge):
+                integrate(spec, x0, p_max, step, n * step)
+            return
+        got = integrate(spec, x0, p_max, step, n * step)
+        assert got.t.tobytes() == want.t.tobytes()
+        assert got.x.tobytes() == want.x.tobytes()
+
     def test_times_strictly_increase_and_states_stay_in_box(self, case2):
         traj = integrate(case2, JointState(0.3, 0.8), 0.99, step=0.05, t_max=200)
         assert np.all(np.diff(traj.t) > 0)
@@ -196,7 +251,7 @@ class TestIntegrate:
 
 class TestFixedPoints:
     def test_case1_single_stable_interior_point(self, case1):
-        pts = all_points(case1, 0.99)
+        pts = fixed_points(case1, 0.99)
         assert len(pts) == 1
         fp = pts[0]
         assert fp.stability is Stability.STABLE
@@ -214,7 +269,7 @@ class TestFixedPoints:
         assert all(a > b for a, b in zip(dists, dists[1:]))
 
     def test_case2_single_stable_point_near_corner(self, case2):
-        pts = all_points(case2, 0.99)
+        pts = fixed_points(case2, 0.99)
         assert len(pts) == 1
         assert pts[0].stability is Stability.STABLE
         assert pts[0].x.p1 == pytest.approx(0.917, abs=2e-3)
@@ -223,7 +278,7 @@ class TestFixedPoints:
     def test_case3_structure_and_frozen_locations(self, case3):
         """Two stable roots plus a saddle; locations are regression anchors
         verified independently by the drift norm and the integrator tests."""
-        pts = all_points(case3, 0.999)
+        pts = fixed_points(case3, 0.999)
         labels = [fp.stability for fp in pts]
         assert labels == [Stability.STABLE, Stability.SADDLE, Stability.STABLE]
         low, saddle, high = pts
@@ -241,11 +296,11 @@ class TestFixedPoints:
             assert fp.drift_norm < 1e-12
 
     def test_roots_sorted_by_p1(self, case3):
-        pts = all_points(case3, 0.99)
+        pts = fixed_points(case3, 0.99)
         assert [fp.x.p1 for fp in pts] == sorted(fp.x.p1 for fp in pts)
 
     def test_stability_labels_consistent_with_det_trace(self, case3):
-        for fp in all_points(case3, 0.995):
+        for fp in fixed_points(case3, 0.995):
             if fp.stability is Stability.STABLE:
                 assert fp.det > 0 and fp.trace < 0
             elif fp.stability is Stability.SADDLE:
@@ -255,9 +310,52 @@ class TestFixedPoints:
         with pytest.raises(ValueError):
             fixed_points(case1, 1.0)
 
-    def test_failed_seeds_surface_as_warning(self, case3):
-        with pytest.warns(NoConvergenceWarning):
-            fixed_points(case3, 0.999)
+    @pytest.mark.parametrize("preset_name", ["case1", "case2", "case3"])
+    def test_no_warning_at_any_benchmark_p_max(self, preset_name, request):
+        spec = request.getfixturevalue(preset_name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p_max in np.round(np.arange(0.990, 0.9995, 0.001), 3):
+                assert fixed_points(spec, float(p_max))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p_max=st.floats(0.99, 0.999))
+    def test_matches_planar_root_oracle(self, seed, p_max):
+        spec = random_game(np.random.default_rng(seed))
+        pts = fixed_points(spec, p_max)
+        roots = planar_root_oracle(spec, p_max)
+        assert len(pts) == len(roots)
+        for fp, (p1, q1) in zip(pts, roots):
+            assert abs(fp.x.p1 - p1) <= 1e-9 and abs(fp.x.q1 - q1) <= 1e-9
+            assert fp.stability is oracle_label(spec, p1, q1, p_max)
+
+    def test_w1_independent_of_q1(self):
+        # r11 = r12 and r21 = r22: w1 = A(p1) alone, so the resultant is
+        # c2 A^2 and every fixed point sits on the line A(p1) = 0, where
+        # w1 vanishes for every q1 and w2(p1, .) is a quadratic
+        spec = GameSpec(Model.P, PayoffMatrix(0.6, 0.6, 0.3, 0.3), PayoffMatrix(0.2, 0.7, 0.5, 0.4))
+        p_max = 0.99
+        p_min = 1.0 - p_max
+        p_star = bisect_root(
+            lambda p: drift_from_entries(spec, p, 0.5, p_max)[0], p_min, p_max
+        )
+        grid = np.linspace(p_min, p_max, 10_001)
+        w2 = drift_from_entries(spec, p_star, grid, p_max)[1]
+        sign_changes = int(np.count_nonzero(w2[:-1] * w2[1:] < 0))
+        pts = fixed_points(spec, p_max)
+        assert sign_changes >= 1
+        assert len(pts) == sign_changes
+        for fp in pts:
+            assert fp.x.p1 == pytest.approx(p_star, abs=1e-9)
+            assert fp.drift_norm <= 1e-12
+            assert fp.jacobian[0, 1] == 0.0
+
+    def test_vanishing_resultant_is_degenerate(self):
+        # a zero R makes w1 vanish everywhere: a whole curve of fixed points
+        zero = PayoffMatrix(0.0, 0.0, 0.0, 0.0)
+        spec = GameSpec(Model.P, zero, PayoffMatrix(0.2, 0.7, 0.5, 0.4))
+        with pytest.raises(DegenerateGame):
+            fixed_points(spec, 0.99)
 
 
 class TestBarrierContainment:

@@ -1,6 +1,5 @@
 import csv
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from barrier_la import (
     LearnerConfig,
     MixedStrategy,
     Model,
-    NoConvergenceWarning,
     NotCase3,
     SimConfig,
     Trajectory,
@@ -264,7 +262,8 @@ class TestCsvOutput:
         traj = run_ensemble(make_config(case1, steps=100), runs=2)
         path = tmp_path / "ens.csv"
         write_trajectory_csv(traj, path)
-        assert open(path).readline().strip() == "step,mean_p1,mean_q1"
+        with open(path) as fh:
+            assert fh.readline().strip() == "step,mean_p1,mean_q1"
 
     def test_error_table_round_trip(self, tmp_path, case1):
         rows = error_table(
