@@ -1,21 +1,19 @@
 """Learning automata with artificial non-absorbing barriers on 2x2 games.
 
-The package has four layers: ``game`` (payoff matrices, feedback,
-equilibrium analysis), ``learner`` (barrier-bounded strategy updates),
+The package has four layers: ``game`` (payoff matrices, equilibrium
+analysis), ``learner`` (learning rate and barrier of a player),
 ``dynamics`` (drift field, Jacobian, ODE integration, fixed points) and
-``harness`` (seeded Monte Carlo experiments).  ``cli`` exposes everything
-as the ``barrier-la`` command.
+``harness`` (the seeded Monte Carlo engine that samples actions and
+feedback and applies the barrier update).  ``cli`` exposes everything as
+the ``barrier-la`` command.
 """
 
 from .dynamics import (
-    BoundaryDrives,
     DriftValue,
     FixedPoint,
     Stability,
     Trajectory,
     TrajectoryKind,
-    drives,
-    expected_increment_oracle,
     fixed_points,
     integrate,
     jacobian,
@@ -24,33 +22,25 @@ from .dynamics import (
 from .errors import (
     DegenerateGame,
     EmptyTrajectory,
-    FeedbackOutOfRange,
     NotCase3,
     NotInSimplex,
     StepTooLarge,
-    WrongModel,
 )
 from .game import (
-    ActionPair,
     CaseKind,
     EquilibriumReport,
-    Feedback,
     GameSpec,
     JointState,
     Model,
     PayoffMatrix,
     PRESETS,
-    RewardPenalty,
-    Scalar,
     classify,
-    deterministic_feedback,
     dump_game,
     equilibrium_report,
     load_game,
     mixed_equilibrium,
     preset,
     pure_equilibria,
-    sample_feedback,
 )
 from .harness import (
     BasinSplit,
@@ -66,6 +56,6 @@ from .harness import (
     write_error_table_csv,
     write_trajectory_csv,
 )
-from .learner import LearnerConfig, MixedStrategy, choose_action, lri_update, s_update
+from .learner import LearnerConfig
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
 """Command-line surface: equilibrium reports, simulations, ODE analysis.
 
-Structured reports (classify, equilibria, fixed-points, basin-split) go to
-stdout as JSON; anything plottable (simulate, ensemble, error-table,
-ode-field, ode-trajectory) goes to the --out path as CSV.  Exit codes:
-0 success, 1 validation error, 2 numerical failure.
+Structured reports (classify, fixed-points, basin-split) go to stdout as
+JSON; anything plottable (simulate, ensemble, error-table, ode-field,
+ode-trajectory) goes to the --out path as CSV.  Exit codes: 0 success,
+1 validation error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -54,9 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = add("classify", "case classification plus equilibria as JSON", _cmd_classify)
-
-    p = add("equilibria", "pure and mixed equilibria as JSON", _cmd_equilibria)
+    add("classify", "case classification plus equilibria as JSON", _cmd_classify)
 
     p = add("simulate", "single seeded run, CSV step,p1,q1", _cmd_simulate, out=True)
     _sim_flags(p)
@@ -141,22 +139,6 @@ def _cmd_classify(args) -> int:
             "mixed": list(report.mixed) if report.mixed else None,
             "L": report.L,
             "L_prime": report.L_prime,
-        }
-    )
-    return 0
-
-
-def _cmd_equilibria(args) -> int:
-    spec = _load_spec(args)
-    report = game.equilibrium_report(spec)
-    _print_json(
-        {
-            "pure": [[s.p1, s.q1] for s in report.pure],
-            "mixed": list(report.mixed) if report.mixed else None,
-            "case": report.case_kind.value,
-            "L": report.L,
-            "L_prime": report.L_prime,
-            "game": game.to_dict(spec),
         }
     )
     return 0

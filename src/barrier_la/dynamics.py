@@ -21,9 +21,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateGame, StepTooLarge, WrongModel
-from .game import GameSpec, JointState, Model, RewardPenalty
-from .learner import LearnerConfig, MixedStrategy, lri_update
+from .errors import DegenerateGame, StepTooLarge
+from .game import GameSpec, JointState
 
 DRIFT_STOP_TOL = 1e-10
 NEWTON_DRIFT_TOL = 1e-12
@@ -33,20 +32,6 @@ STAGE_BOX = (-0.1, 1.1)
 STATE_TOL = 1e-9  # slack of the [0, 1]^2 check on trajectory states
 ROOT_SLACK = 1e-6  # imaginary part and box overshoot allowed for resultant roots
 COMMON_ROOT_TOL = 1e-6  # |A|, |B| relative to their coefficient sums at a common root
-
-
-@dataclass(frozen=True)
-class BoundaryDrives:
-    """Expected payoff of each action against the opponent's mixed strategy.
-
-    d1a/d2a are player A's action payoffs as linear functions of q1;
-    d1b/d2b are player B's as linear functions of p1.
-    """
-
-    d1a: float
-    d2a: float
-    d1b: float
-    d2b: float
 
 
 @dataclass(frozen=True)
@@ -116,13 +101,9 @@ class Trajectory:
         return JointState(float(self.x[-1, 0]), float(self.x[-1, 1]))
 
 
-def drives(spec: GameSpec, x: JointState) -> BoundaryDrives:
-    """The four action-payoff linear forms at the joint state x."""
-    d1a, d2a, d1b, d2b = _drives(spec, x.p1, x.q1)
-    return BoundaryDrives(d1a, d2a, d1b, d2b)
-
-
 def _drives(spec: GameSpec, p1: float, q1: float) -> tuple[float, float, float, float]:
+    """Expected payoff of each action against the opponent's mixed strategy:
+    d1a/d2a are player A's, linear in q1; d1b/d2b are player B's, linear in p1."""
     R, C = spec.R, spec.C
     d1a = q1 * R.r11 + (1.0 - q1) * R.r12
     d2a = q1 * R.r21 + (1.0 - q1) * R.r22
@@ -149,42 +130,6 @@ def _field(spec: GameSpec, p1: float, q1: float, p_max: float) -> tuple[float, f
     w1 = p1 * (p_max - p1) * d1a + (1.0 - p1) * (p_min - p1) * d2a
     w2 = q1 * (p_max - q1) * d1b + (1.0 - q1) * (p_min - q1) * d2b
     return w1, w2
-
-
-def expected_increment_oracle(
-    spec: GameSpec, x: JointState, cfg: LearnerConfig
-) -> DriftValue:
-    """Brute-force check of the drift for P-model games.
-
-    Enumerates all 4 joint actions and both reward/penalty outcomes per
-    player (16 branches), weights the increments produced by actual
-    lri_update calls by their exact probabilities, and divides by theta.
-    Must agree with vector_field to machine precision.
-    """
-    if spec.model is not Model.P:
-        raise WrongModel("expected_increment_oracle requires a P-model game")
-    p1, q1 = x.p1, x.q1
-    ms_a = MixedStrategy.of_first(p1)
-    ms_b = MixedStrategy.of_first(q1)
-    prob_a = (p1, 1.0 - p1)
-    prob_b = (q1, 1.0 - q1)
-    e1 = 0.0
-    e2 = 0.0
-    for a in (1, 2):
-        for b in (1, 2):
-            p_joint = prob_a[a - 1] * prob_b[b - 1]
-            ra = spec.R.entry(a, b)
-            cb = spec.C.entry(a, b)
-            for rew_a, pr_a in ((True, ra), (False, 1.0 - ra)):
-                for rew_b, pr_b in ((True, cb), (False, 1.0 - cb)):
-                    w = p_joint * pr_a * pr_b
-                    if w == 0.0:
-                        continue
-                    da = lri_update(ms_a, a, RewardPenalty(rew_a), cfg).p1 - p1
-                    db = lri_update(ms_b, b, RewardPenalty(rew_b), cfg).p1 - q1
-                    e1 += w * da
-                    e2 += w * db
-    return DriftValue(e1 / cfg.theta, e2 / cfg.theta)
 
 
 def jacobian(spec: GameSpec, x: JointState, p_max: float) -> np.ndarray:
@@ -255,13 +200,7 @@ def integrate(
     return Trajectory(TrajectoryKind.ODE, np.array(ts), np.array(xs).reshape(-1, 2))
 
 
-def fixed_points(
-    spec: GameSpec,
-    p_max: float,
-    drift_tol: float = NEWTON_DRIFT_TOL,
-    max_iter: int = NEWTON_MAX_ITER,
-    dedup_tol: float = DEDUP_TOL,
-) -> list[FixedPoint]:
+def fixed_points(spec: GameSpec, p_max: float) -> list[FixedPoint]:
     """All fixed points of the drift inside the barrier box, with stability.
 
     w1 = A(p1) + q1 B(p1) is linear in q1 and w2 = c0(p1) + c1(p1) q1 +
@@ -270,8 +209,8 @@ def fixed_points(
     c0 B^2 - c1 A B + c2 A^2.  Where A and B vanish together, w1 = 0 on the
     whole line through that p1 and the candidates are the roots of the
     quadratic w2(p1, .).  Candidates in [p_min, p_max] are polished by
-    Newton with the analytic Jacobian down to |W| <= drift_tol, kept when
-    they lie in the barrier box, deduplicated at distance dedup_tol,
+    Newton with the analytic Jacobian down to |W| <= NEWTON_DRIFT_TOL, kept
+    when they lie in the barrier box, deduplicated at distance DEDUP_TOL,
     labeled by the det/trace test and sorted by p1.  Raises DegenerateGame
     when the resultant vanishes identically.
     """
@@ -281,13 +220,13 @@ def fixed_points(
 
     roots: list[tuple[float, float, float]] = []
     for s in _candidates(spec, p_max):
-        res = _newton(spec, s, p_max, drift_tol, max_iter)
+        res = _newton(spec, s, p_max)
         if res is None:
             continue
         p1, q1, wnorm = res
         if not (p_min - 1e-9 <= p1 <= p_max + 1e-9 and p_min - 1e-9 <= q1 <= p_max + 1e-9):
             continue
-        if any(math.hypot(p1 - r[0], q1 - r[1]) < dedup_tol for r in roots):
+        if any(math.hypot(p1 - r[0], q1 - r[1]) < DEDUP_TOL for r in roots):
             continue
         roots.append((p1, q1, wnorm))
 
@@ -349,18 +288,14 @@ def _candidates(spec: GameSpec, p_max: float) -> list[tuple[float, float]]:
 
 
 def _newton(
-    spec: GameSpec,
-    seed: tuple[float, float],
-    p_max: float,
-    drift_tol: float,
-    max_iter: int,
+    spec: GameSpec, seed: tuple[float, float], p_max: float
 ) -> tuple[float, float, float] | None:
     """Newton iteration on W = 0; returns (p1, q1, |W|) or None on failure."""
     p1, q1 = float(seed[0]), float(seed[1])
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         w1, w2 = _field(spec, p1, q1, p_max)
         wnorm = math.hypot(w1, w2)
-        if wnorm <= drift_tol:
+        if wnorm <= NEWTON_DRIFT_TOL:
             return p1, q1, wnorm
         j = _jacobian(spec, p1, q1, p_max)
         det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]

@@ -13,14 +13,6 @@ class NotInSimplex(ValueError):
     """A computed mixed-strategy coordinate fell outside [0, 1]."""
 
 
-class WrongModel(ValueError):
-    """Operation called on a game with the wrong feedback model."""
-
-
-class FeedbackOutOfRange(ValueError):
-    """Scalar feedback outside [0, 1]."""
-
-
 class EmptyTrajectory(ValueError):
     """Trajectory contains no samples."""
 

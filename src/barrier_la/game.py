@@ -1,9 +1,10 @@
-"""2x2 bimatrix games: payoff data, environment feedback, equilibrium analysis.
+"""2x2 bimatrix games: payoff data, equilibrium analysis, presets and JSON.
 
 A game is given by two payoff matrices R (row player A) and C (column
 player B) whose entries live in [0, 1].  Under the P model an entry is the
 probability that the matching player is rewarded for the joint action;
-under the S model it is the deterministic scalar feedback itself.
+under the S model it is the deterministic scalar feedback itself.  The
+harness engine samples the feedback; this module only describes the game.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateGame, NotInSimplex, WrongModel
+from .errors import DegenerateGame, NotInSimplex
 
 
 class Model(str, Enum):
@@ -70,39 +71,6 @@ class GameSpec:
 
     def with_model(self, model: Model) -> "GameSpec":
         return replace(self, model=model)
-
-
-@dataclass(frozen=True)
-class ActionPair:
-    """Joint pure action (a for player A, b for player B), both in {1, 2}."""
-
-    a: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if self.a not in (1, 2) or self.b not in (1, 2):
-            raise ValueError(f"actions must be 1 or 2, got ({self.a}, {self.b})")
-
-
-@dataclass(frozen=True)
-class RewardPenalty:
-    """Binary environment feedback (P model)."""
-
-    reward: bool
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """Continuous environment feedback in [0, 1] (S model)."""
-
-    u: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.u <= 1.0:
-            raise ValueError(f"scalar feedback {self.u} outside [0, 1]")
-
-
-Feedback = Union[RewardPenalty, Scalar]
 
 
 @dataclass(frozen=True)
@@ -219,13 +187,13 @@ def pure_equilibria(spec: GameSpec) -> list[JointState]:
             if ra == ra_alt or cb == cb_alt:
                 raise DegenerateGame(f"payoff tie at corner ({a}, {b})")
             if ra > ra_alt and cb > cb_alt:
-                out.append(corner_state(ActionPair(a, b)))
+                out.append(corner_state(a, b))
     return out
 
 
-def corner_state(actions: ActionPair) -> JointState:
-    """Corner joint state for a pure action pair: action 1 maps to probability 1."""
-    return JointState(1.0 if actions.a == 1 else 0.0, 1.0 if actions.b == 1 else 0.0)
+def corner_state(a: int, b: int) -> JointState:
+    """Corner joint state for the pure actions a, b in {1, 2}: action 1 maps to probability 1."""
+    return JointState(1.0 if a == 1 else 0.0, 1.0 if b == 1 else 0.0)
 
 
 def equilibrium_report(spec: GameSpec) -> EquilibriumReport:
@@ -235,36 +203,6 @@ def equilibrium_report(spec: GameSpec) -> EquilibriumReport:
     mixed = mixed_equilibrium(spec) if kind is not CaseKind.SINGLE_PURE else None
     L, L_prime = discriminants(spec)
     return EquilibriumReport(kind, pure, mixed, L, L_prime)
-
-
-def sample_feedback(
-    spec: GameSpec, actions: ActionPair, rng: np.random.Generator
-) -> tuple[RewardPenalty, RewardPenalty]:
-    """Sample Bernoulli feedback for a joint action under the P model.
-
-    Consumes exactly two uniform draws from ``rng`` in a fixed order:
-    player A first, then player B.  A is rewarded with probability
-    R[a, b], B independently with probability C[a, b].
-    """
-    if spec.model is not Model.P:
-        raise WrongModel("sample_feedback requires a P-model game")
-    ra = spec.R.entry(actions.a, actions.b)
-    cb = spec.C.entry(actions.a, actions.b)
-    fa = RewardPenalty(rng.random() < ra)
-    fb = RewardPenalty(rng.random() < cb)
-    return fa, fb
-
-
-def deterministic_feedback(
-    spec: GameSpec, actions: ActionPair
-) -> tuple[Scalar, Scalar]:
-    """Deterministic scalar feedback under the S model: the payoff entries themselves."""
-    if spec.model is not Model.S:
-        raise WrongModel("deterministic_feedback requires an S-model game")
-    return (
-        Scalar(spec.R.entry(actions.a, actions.b)),
-        Scalar(spec.C.entry(actions.a, actions.b)),
-    )
 
 
 # Preset games covering the three equilibrium cases.  case1 has a unique

@@ -131,12 +131,16 @@ def steady_state_error(traj: Trajectory, target: JointState) -> float:
     The mean is taken over the last 10% of the recorded samples (at least
     one sample).
     """
-    n = len(traj)
-    if n == 0:
+    if len(traj) == 0:
         raise EmptyTrajectory("trajectory has no samples")
-    k = max(1, math.ceil(0.1 * n))
-    m = traj.x[-k:].mean(axis=0)
+    m = _late_mean(traj)
     return float(math.hypot(m[0] - target.p1, m[1] - target.q1))
+
+
+def _late_mean(traj: Trajectory) -> np.ndarray:
+    """Mean state over the last 10% of the samples (at least one)."""
+    k = max(1, math.ceil(0.1 * len(traj)))
+    return traj.x[-k:].mean(axis=0)
 
 
 def error_table(
@@ -174,9 +178,7 @@ def error_table(
 
 
 def _nearest_corner(spec: GameSpec, traj: Trajectory) -> JointState:
-    n = len(traj)
-    k = max(1, math.ceil(0.1 * n))
-    m = traj.x[-k:].mean(axis=0)
+    m = _late_mean(traj)
     corners = pure_equilibria(spec)
     return min(corners, key=lambda c: math.hypot(m[0] - c.p1, m[1] - c.q1))
 
@@ -218,21 +220,23 @@ def basin_split(
 # ----------------------------------------------------------------------
 
 
-def _game_constants(spec: GameSpec):
-    R, C = spec.R, spec.C
+def _game_constants(c: SimConfig):
+    """The constants both engine paths read: payoff entries of R and C, the
+    P-model flag, the two learning rates and the two players' barrier targets."""
+    R, C, a, b = c.spec.R, c.spec.C, c.cfg_a, c.cfg_b
     return (
         (R.r11, R.r12, R.r21, R.r22),
         (C.r11, C.r12, C.r21, C.r22),
-        spec.model is Model.P,
+        c.spec.model is Model.P,
+        (a.theta, b.theta),
+        (a.p_max, a.p_min, b.p_max, b.p_min),
     )
 
 
 def _simulate_single(c: SimConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """One run as a plain Python loop.  Returns (steps, states (n, 2))."""
-    (r11, r12, r21, r22), (c11, c12, c21, c22), ptype = _game_constants(c.spec)
-    th_a, th_b = c.cfg_a.theta, c.cfg_b.theta
-    pmax_a, pmin_a = c.cfg_a.p_max, c.cfg_a.p_min
-    pmax_b, pmin_b = c.cfg_b.p_max, c.cfg_b.p_min
+    (r11, r12, r21, r22), (c11, c12, c21, c22), ptype, (th_a, th_b), targets = _game_constants(c)
+    pmax_a, pmin_a, pmax_b, pmin_b = targets
     p, q = c.x0.p1, c.x0.q1
     stride, steps = c.record_stride, c.steps
     rec = [(0, p, q)]
@@ -294,10 +298,8 @@ def _simulate_batch(c: SimConfig, runs: int) -> tuple[np.ndarray, np.ndarray, np
 
 def _simulate_vector(c: SimConfig, runs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Numpy lockstep over runs; one generator per run, chunked draws."""
-    (r11, r12, r21, r22), (c11, c12, c21, c22), ptype = _game_constants(c.spec)
-    th_a, th_b = c.cfg_a.theta, c.cfg_b.theta
-    pmax_a, pmin_a = c.cfg_a.p_max, c.cfg_a.p_min
-    pmax_b, pmin_b = c.cfg_b.p_max, c.cfg_b.p_min
+    (r11, r12, r21, r22), (c11, c12, c21, c22), ptype, (th_a, th_b), targets = _game_constants(c)
+    pmax_a, pmin_a, pmax_b, pmin_b = targets
     steps, stride = c.steps, c.record_stride
 
     gens = [np.random.default_rng(per_run_seed(c.seed, k)) for k in range(runs)]

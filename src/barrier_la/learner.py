@@ -1,21 +1,15 @@
-"""Barrier-bounded reward-inaction and scalar-feedback strategy updates.
+"""Learner parameters of the barrier reward-inaction scheme.
 
-The classical reward-inaction rule moves probability mass toward the
-rewarded action's simplex corner; here the corners are replaced by the
-artificial barriers p_max and p_min = 1 - p_max, which keeps the scheme
-ergodic.  With p_max = 1 the legacy absorbing rule is recovered exactly.
+On feedback f for action i a player moves a theta*f fraction of the way
+from its strategy to the target that puts p_max on i and p_min = 1 - p_max
+on the other action; a penalty (f = 0) leaves it unchanged.  The barriers
+replace the simplex corners, which keeps the scheme ergodic, and p_max = 1
+recovers the legacy absorbing rule.  The harness engine applies this rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
-
-from .errors import FeedbackOutOfRange
-from .game import RewardPenalty
-
-SIMPLEX_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -35,80 +29,3 @@ class LearnerConfig:
         if not 0.5 < self.p_max <= 1.0:
             raise ValueError("p_max must be in (0.5, 1]")
         object.__setattr__(self, "p_min", 1.0 - self.p_max)
-
-
-@dataclass(frozen=True)
-class MixedStrategy:
-    """Two-action mixed strategy stored with both components.
-
-    The second component is redundant but keeps the update code shaped
-    like the two-line update equations.
-    """
-
-    p1: float
-    p2: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.p1 <= 1.0 and 0.0 <= self.p2 <= 1.0):
-            raise ValueError(f"probabilities ({self.p1}, {self.p2}) outside [0, 1]")
-        if abs(self.p1 + self.p2 - 1.0) > SIMPLEX_TOL:
-            raise ValueError(f"probabilities ({self.p1}, {self.p2}) do not sum to 1")
-
-    @classmethod
-    def uniform(cls) -> "MixedStrategy":
-        return cls(0.5, 0.5)
-
-    @classmethod
-    def of_first(cls, p1: float) -> "MixedStrategy":
-        return cls(p1, 1.0 - p1)
-
-
-def lri_update(
-    p: MixedStrategy, chosen: int, feedback: RewardPenalty, cfg: LearnerConfig
-) -> MixedStrategy:
-    """Reward-inaction update with barriers.
-
-    On reward for action i the probabilities move a theta-fraction toward
-    the targets (p_max for i, p_min for the other action); on penalty the
-    strategy is unchanged.  The update is a convex combination, so no
-    clamping is needed or performed.
-    """
-    assert chosen in (1, 2), f"chosen action must be 1 or 2, got {chosen}"
-    if not feedback.reward:
-        return p
-    if chosen == 1:
-        return MixedStrategy(
-            p.p1 + cfg.theta * (cfg.p_max - p.p1),
-            p.p2 + cfg.theta * (cfg.p_min - p.p2),
-        )
-    return MixedStrategy(
-        p.p1 + cfg.theta * (cfg.p_min - p.p1),
-        p.p2 + cfg.theta * (cfg.p_max - p.p2),
-    )
-
-
-def s_update(
-    p: MixedStrategy, chosen: int, u: float, cfg: LearnerConfig
-) -> MixedStrategy:
-    """Scalar-feedback update: the step size scales with the feedback u.
-
-    u = 1 coincides with a rewarded lri_update, u = 0 leaves the strategy
-    unchanged; there is no separate penalty branch.
-    """
-    assert chosen in (1, 2), f"chosen action must be 1 or 2, got {chosen}"
-    if not 0.0 <= u <= 1.0:
-        raise FeedbackOutOfRange(f"scalar feedback {u} outside [0, 1]")
-    if chosen == 1:
-        return MixedStrategy(
-            p.p1 + cfg.theta * u * (cfg.p_max - p.p1),
-            p.p2 + cfg.theta * u * (cfg.p_min - p.p2),
-        )
-    return MixedStrategy(
-        p.p1 + cfg.theta * u * (cfg.p_min - p.p1),
-        p.p2 + cfg.theta * u * (cfg.p_max - p.p2),
-    )
-
-
-def choose_action(p: MixedStrategy, rng: np.random.Generator) -> int:
-    """Sample an action: 1 with probability p1, else 2.  Consumes one draw."""
-    return 1 if rng.random() < p.p1 else 2

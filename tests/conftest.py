@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from barrier_la import GameSpec, Model, PayoffMatrix, preset
+from barrier_la import DriftValue, GameSpec, Model, PayoffMatrix, preset
 
 
 @pytest.fixture
@@ -31,6 +32,56 @@ def random_game(rng: np.random.Generator) -> GameSpec:
     r = rng.random(4)
     c = rng.random(4)
     return GameSpec(Model.P, PayoffMatrix(*r), PayoffMatrix(*c))
+
+
+def lri_step(p1: float, chosen: int, feedback: float, cfg) -> float:
+    """The paper's barrier update of one player's strategy (p1, 1 - p1):
+
+        p_chosen <- p_chosen + theta * f * (p_max - p_chosen)
+        p_other  <- p_other  + theta * f * (p_min - p_other)
+
+    with feedback f = 1/0 (reward/penalty) under the P model and the payoff
+    entry under the S model.  Returns the new p1: the first line when action
+    1 was chosen, else the second line written for p1."""
+    target = cfg.p_max if chosen == 1 else cfg.p_min
+    return p1 + cfg.theta * feedback * (target - p1)
+
+
+def reference_loop(c) -> list[tuple[int, float, float]]:
+    """A run of SimConfig c written one rng.random() call at a time: the
+    action draw of A, then of B, then (P model) the reward draw of A, then
+    of B; each player applies lri_step.  Records like run_game."""
+    rng = np.random.default_rng(c.seed)
+    p, q = c.x0.p1, c.x0.q1
+    rec = [(0, p, q)]
+    for t in range(1, c.steps + 1):
+        a = 1 if rng.random() < p else 2
+        b = 1 if rng.random() < q else 2
+        fa, fb = c.spec.R.entry(a, b), c.spec.C.entry(a, b)
+        if c.spec.model is Model.P:
+            fa = 1.0 if rng.random() < fa else 0.0
+            fb = 1.0 if rng.random() < fb else 0.0
+        p = lri_step(p, a, fa, c.cfg_a)
+        q = lri_step(q, b, fb, c.cfg_b)
+        if t % c.record_stride == 0 or t == c.steps:
+            rec.append((t, p, q))
+    return rec
+
+
+def expected_increment_oracle(spec: GameSpec, x, cfg) -> DriftValue:
+    """E[X' - X | X] / theta for a P-model game, by brute force: the 4 joint
+    actions times each player's reward or penalty (16 branches), each
+    weighted by its exact probability and stepped with lri_step."""
+    if spec.model is not Model.P:
+        raise ValueError("the 16-branch oracle enumerates P-model rewards")
+    prob_a, prob_b = (x.p1, 1.0 - x.p1), (x.q1, 1.0 - x.q1)
+    e1 = e2 = 0.0
+    for a, b, fa, fb in itertools.product((1, 2), (1, 2), (1.0, 0.0), (1.0, 0.0)):
+        ra, cb = spec.R.entry(a, b), spec.C.entry(a, b)
+        w = prob_a[a - 1] * prob_b[b - 1] * (ra if fa else 1.0 - ra) * (cb if fb else 1.0 - cb)
+        e1 += w * (lri_step(x.p1, a, fa, cfg) - x.p1)
+        e2 += w * (lri_step(x.q1, b, fb, cfg) - x.q1)
+    return DriftValue(e1 / cfg.theta, e2 / cfg.theta)
 
 
 def bisect_root(gap, lo: float, hi: float, iters: int = 80) -> float:

@@ -40,7 +40,6 @@ from barrier_la import (
     basin_split,
     classify,
     error_table,
-    expected_increment_oracle,
     fixed_points,
     integrate,
     jacobian,
@@ -52,7 +51,7 @@ from barrier_la import (
     vector_field,
 )
 
-from conftest import bisect_root, drift_from_entries, planar_root_oracle
+from conftest import bisect_root, drift_from_entries, expected_increment_oracle, planar_root_oracle
 
 CASE1 = preset("case1")
 CASE2 = preset("case2")

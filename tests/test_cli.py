@@ -1,11 +1,14 @@
+import argparse
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from barrier_la import JointState, dump_game, preset, vector_field
-from barrier_la.cli import main
+from barrier_la.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -35,16 +38,10 @@ class TestClassifyCommand:
     def test_game_file_round_trip(self, capsys, tmp_path):
         path = tmp_path / "g.json"
         dump_game(preset("case3"), path)
-        rc, out, _ = run_cli(capsys, "equilibria", "--game", str(path))
+        rc, out, _ = run_cli(capsys, "classify", "--game", str(path))
         assert rc == 0
-        payload = json.loads(out)
-        assert payload["case"] == "TwoPureOneMixed"
-        # the echoed game reloads identically
-        path2 = tmp_path / "g2.json"
-        path2.write_text(json.dumps(payload["game"]))
-        rc2, out2, _ = run_cli(capsys, "equilibria", "--game", str(path2))
-        assert rc2 == 0
-        assert json.loads(out2)["game"] == payload["game"]
+        assert json.loads(out)["case"] == "TwoPureOneMixed"
+        assert out == run_cli(capsys, "classify", "--preset", "case3")[1]
 
     def test_degenerate_game_is_validation_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -54,6 +51,15 @@ class TestClassifyCommand:
         rc, _, err = run_cli(capsys, "classify", "--game", str(path))
         assert rc == 1
         assert "tie" in err or "degenerate" in err.lower()
+
+
+def test_documented_commands_match_the_parser():
+    root = Path(__file__).resolve().parents[1]
+    docs = "".join((root / f).read_text() for f in ("README.md", "docs/reproduce.md"))
+    subparsers = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert set(re.findall(r"barrier-la ([a-z][a-z-]*)", docs)) == set(subparsers.choices)
 
 
 class TestValidation:

@@ -6,23 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barrier_la import (
-    ActionPair,
     CaseKind,
     DegenerateGame,
     GameSpec,
     JointState,
+    LearnerConfig,
     Model,
     NotInSimplex,
     PayoffMatrix,
-    WrongModel,
+    SimConfig,
     classify,
-    deterministic_feedback,
     equilibrium_report,
     mixed_equilibrium,
     preset,
     pure_equilibria,
-    sample_feedback,
+    run_game,
 )
+from barrier_la import harness
 from barrier_la.game import discriminants, dump_game, from_dict, load_game, to_dict
 
 from conftest import random_game
@@ -69,13 +69,6 @@ class TestPayoffMatrix:
             PayoffMatrix(1.2, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             PayoffMatrix(0.5, -0.1, 0.0, 0.0)
-
-    def test_action_pair_validates_indices(self):
-        assert ActionPair(1, 2) == ActionPair(1, 2)
-        with pytest.raises(ValueError):
-            ActionPair(0, 1)
-        with pytest.raises(ValueError):
-            ActionPair(1, 3)
 
     def test_entry_lookup(self):
         m = PayoffMatrix(0.1, 0.2, 0.3, 0.4)
@@ -203,71 +196,62 @@ class TestEquilibriumReport:
         assert L_prime == pytest.approx(0.45)
 
 
+def simulate(spec, steps, seed=0, theta=0.01):
+    """Recorded states (steps + 1, 2) of one run from (0.5, 0.5) at p_max = 0.99, stride 1."""
+    cfg = LearnerConfig(theta=theta, p_max=0.99)
+    return run_game(SimConfig(spec, cfg, cfg, JointState(0.5, 0.5), steps, seed, 1)).x
+
+
+def constant_game(model, r, c):
+    return GameSpec(model, PayoffMatrix(r, r, r, r), PayoffMatrix(c, c, c, c))
+
+
 class TestSampleFeedback:
-    def test_wrong_model_rejected(self, case1):
-        rng = np.random.default_rng(0)
-        with pytest.raises(WrongModel):
-            sample_feedback(case1.with_model(Model.S), ActionPair(1, 1), rng)
+    """P-model feedback as the engine samples it: a reward moves a player."""
 
     def test_certain_reward_and_certain_penalty(self):
-        spec = GameSpec(
-            Model.P, PayoffMatrix(1.0, 0.5, 0.5, 0.5), PayoffMatrix(0.0, 0.5, 0.5, 0.5)
-        )
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            fa, fb = sample_feedback(spec, ActionPair(1, 1), rng)
-            assert fa.reward and not fb.reward
+        x = simulate(constant_game(Model.P, 1.0, 0.0), 200)
+        assert (x[1:, 0] != x[:-1, 0]).all()
+        assert (x[:, 1] == 0.5).all()
 
     def test_empirical_reward_rate(self):
-        spec = GameSpec(
-            Model.P, PayoffMatrix(0.6, 0.5, 0.5, 0.5), PayoffMatrix(0.3, 0.5, 0.5, 0.5)
-        )
-        rng = np.random.default_rng(20240601)
-        n = 1_000_000
-        hits = 0
-        for _ in range(n):
-            fa, _ = sample_feedback(spec, ActionPair(1, 1), rng)
-            hits += fa.reward
-        assert hits / n == pytest.approx(0.6, abs=0.002)  # 3 sigma bound
+        n = 200_000
+        x = simulate(constant_game(Model.P, 0.6, 0.3), n, seed=20240601, theta=0.001)
+        rates = np.count_nonzero(x[1:] != x[:-1], axis=0) / n
+        assert rates[0] == pytest.approx(0.6, abs=3 * np.sqrt(0.6 * 0.4 / n))  # 3 sigma
+        assert rates[1] == pytest.approx(0.3, abs=3 * np.sqrt(0.3 * 0.7 / n))
 
-    def test_fixed_seed_is_reproducible(self, case1):
-        def draw():
-            rng = np.random.default_rng(97)
-            return [
-                (fa.reward, fb.reward)
-                for fa, fb in (
-                    sample_feedback(case1, ActionPair(1, 2), rng) for _ in range(64)
-                )
-            ]
+    def test_fixed_seed_is_reproducible(self, case1, monkeypatch):
+        # the draws are one continuous stream per seed, whatever the chunking
+        want = simulate(case1, 500, seed=97)
+        monkeypatch.setattr(harness, "_CHUNK_BUDGET_SCALAR", 12)  # 3 steps per chunk
+        assert simulate(case1, 500, seed=97).tolist() == want.tolist()
 
-        assert draw() == draw()
-
-    def test_draw_order_is_a_then_b(self, case1):
-        # The first uniform decides player A, the second player B.
-        rng = np.random.default_rng(5)
-        u = np.random.default_rng(5).random(2)
-        fa, fb = sample_feedback(case1, ActionPair(1, 1), rng)
-        assert fa.reward == (u[0] < case1.R.r11)
-        assert fb.reward == (u[1] < case1.C.r11)
+    def test_draw_order_is_a_then_b(self):
+        # per step: action draws u0, u1, then reward draws u2 for A, u3 for B
+        x = simulate(constant_game(Model.P, 0.6, 0.3), 50, seed=5, theta=0.1)
+        u = np.random.default_rng(5).random(200).reshape(50, 4)
+        assert ((x[1:] != x[:-1]) == (u[:, 2:] < [0.6, 0.3])).all()
 
 
 class TestDeterministicFeedback:
-    def test_wrong_model_rejected(self, case1):
-        with pytest.raises(WrongModel):
-            deterministic_feedback(case1, ActionPair(1, 1))
+    """S-model feedback: each player's step is scaled by its payoff entry."""
+
+    @staticmethod
+    def first_step(spec, seed):
+        a, b = np.where(np.random.default_rng(seed).random(2) < 0.5, 1, 2)
+        p, q = simulate(spec, 1, seed=seed, theta=0.1)[1]
+        assert p == pytest.approx(0.5 + 0.1 * spec.R.entry(a, b) * (0.49 if a == 1 else -0.49))
+        assert q == pytest.approx(0.5 + 0.1 * spec.C.entry(a, b) * (0.49 if b == 1 else -0.49))
+        return a, b
 
     def test_joint_action_indexes_both_matrices(self, case1):
-        spec = case1.with_model(Model.S)
-        fa, fb = deterministic_feedback(spec, ActionPair(1, 2))
-        assert fa.u == spec.R.r12
-        assert fb.u == spec.C.r12
+        seen = {self.first_step(case1.with_model(Model.S), seed) for seed in range(16)}
+        assert seen == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
     def test_diagonal_actions(self, case3):
-        spec = case3.with_model(Model.S)
-        fa, fb = deterministic_feedback(spec, ActionPair(1, 1))
-        assert (fa.u, fb.u) == (spec.R.r11, spec.C.r11)
-        fa, fb = deterministic_feedback(spec, ActionPair(2, 2))
-        assert (fa.u, fb.u) == (spec.R.r22, spec.C.r22)
+        seen = {self.first_step(case3.with_model(Model.S), seed) for seed in range(16)}
+        assert {(1, 1), (2, 2)} <= seen
 
 
 class TestJsonInterface:

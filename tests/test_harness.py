@@ -3,64 +3,37 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barrier_la import (
-    ActionPair,
     EmptyTrajectory,
+    GameSpec,
     JointState,
     LearnerConfig,
-    MixedStrategy,
     Model,
     NotCase3,
+    PayoffMatrix,
     SimConfig,
     Trajectory,
     TrajectoryKind,
     basin_split,
-    choose_action,
-    deterministic_feedback,
     error_table,
-    lri_update,
     per_run_seed,
     run_ensemble,
     run_game,
-    s_update,
-    sample_feedback,
     steady_state_error,
-    terminal_states,
     write_error_table_csv,
     write_trajectory_csv,
 )
 from barrier_la.harness import _simulate_batch, _simulate_vector
 
+from conftest import reference_loop
+
 
 def make_config(spec, theta=0.01, p_max=0.99, steps=500, seed=42, stride=100, x0=(0.5, 0.5)):
     cfg = LearnerConfig(theta=theta, p_max=p_max)
     return SimConfig(spec, cfg, cfg, JointState(*x0), steps, seed, stride)
-
-
-def reference_loop(c: SimConfig) -> list[tuple[int, float, float]]:
-    """Game loop composed from the public learner/game operations.
-
-    Consumes the same generator stream as the engine: action draw for A,
-    action draw for B, then (P model) feedback draw for A then B.
-    """
-    rng = np.random.default_rng(c.seed)
-    a = MixedStrategy.of_first(c.x0.p1)
-    b = MixedStrategy.of_first(c.x0.q1)
-    rec = [(0, a.p1, b.p1)]
-    for t in range(1, c.steps + 1):
-        act = ActionPair(choose_action(a, rng), choose_action(b, rng))
-        if c.spec.model is Model.P:
-            fa, fb = sample_feedback(c.spec, act, rng)
-            a = lri_update(a, act.a, fa, c.cfg_a)
-            b = lri_update(b, act.b, fb, c.cfg_b)
-        else:
-            fa, fb = deterministic_feedback(c.spec, act)
-            a = s_update(a, act.a, fa.u, c.cfg_a)
-            b = s_update(b, act.b, fb.u, c.cfg_b)
-        if t % c.record_stride == 0 or t == c.steps:
-            rec.append((t, a.p1, b.p1))
-    return rec
 
 
 class TestRunGame:
@@ -80,15 +53,31 @@ class TestRunGame:
         assert traj.t.tolist() == [0, 100, 200, 250]
 
     @pytest.mark.parametrize("model", [Model.P, Model.S])
-    def test_engine_matches_composed_learner_loop(self, case1, model):
-        """The engine must be bit-identical to the loop built from
-        choose_action / sample_feedback / lri_update / s_update."""
-        c = make_config(case1.with_model(model), steps=400, stride=7, theta=0.05)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entries=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+        thetas=st.tuples(st.floats(1e-3, 0.999), st.floats(1e-3, 0.999)),
+        p_maxes=st.tuples(*[st.just(1.0) | st.floats(0.5, 1.0, exclude_min=True)] * 2),
+        start=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        steps=st.integers(0, 300),
+        stride=st.integers(1, 40),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_engine_matches_composed_learner_loop(
+        self, model, entries, thetas, p_maxes, start, steps, stride, seed
+    ):
+        """On any game, learning rates, barriers (p_max = 1 included), start
+        state and stride, the engine is bit-identical to reference_loop,
+        which applies the paper's update one uniform draw at a time."""
+        cfg_a, cfg_b = (LearnerConfig(theta=t, p_max=m) for t, m in zip(thetas, p_maxes))
+        box = zip((cfg_a, cfg_b), start)
+        x0 = JointState(*(min(g.p_max, g.p_min + u * (g.p_max - g.p_min)) for g, u in box))
+        spec = GameSpec(model, PayoffMatrix(*entries[:4]), PayoffMatrix(*entries[4:]))
+        c = SimConfig(spec, cfg_a, cfg_b, x0, steps, seed, stride)
         traj = run_game(c)
         ref = reference_loop(c)
         assert traj.t.tolist() == [r[0] for r in ref]
-        assert traj.x[:, 0].tolist() == [r[1] for r in ref]
-        assert traj.x[:, 1].tolist() == [r[2] for r in ref]
+        assert traj.x.tolist() == [[r[1], r[2]] for r in ref]
 
     def test_states_stay_inside_barrier_box(self, case3):
         c = make_config(case3, theta=0.2, p_max=0.93, steps=5000, stride=1)
@@ -113,7 +102,10 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("model", [Model.P, Model.S])
     def test_scalar_and_vector_paths_agree_bitwise(self, case1, model):
-        c = make_config(case1.with_model(model), steps=300, stride=50)
+        # distinct players, so a swapped learning rate or barrier would show
+        cfg_a = LearnerConfig(theta=0.01, p_max=0.99)
+        cfg_b = LearnerConfig(theta=0.03, p_max=0.95)
+        c = SimConfig(case1.with_model(model), cfg_a, cfg_b, JointState(0.5, 0.5), 300, 42, 50)
         runs = 8
         t_s, mean_s, term_s = _simulate_batch(c, runs)
         t_v, mean_v, term_v = _simulate_vector(c, runs)
