@@ -41,9 +41,6 @@ class DriftValue:
     w1: float
     w2: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w1, self.w2])
-
     def norm(self) -> float:
         return math.hypot(self.w1, self.w2)
 
@@ -165,12 +162,16 @@ def integrate(
     Stops early once the drift norm falls below 1e-10.  Raises
     StepTooLarge if any RK stage leaves the sanity box [-0.1, 1.1]^2 or an
     accepted state leaves [0, 1]^2, which indicates the step size is too
-    coarse for the field.  The state is two floats; each coordinate sees
+    coarse for the field, and ValueError unless step > 0, t_max >= 0 and
+    t_max / step are finite.  The state is two floats; each coordinate sees
     the operations of the vector form k1 + 2 k2 + 2 k3 + k4 in that order.
     """
     _check_p_max(p_max)
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not (0.0 < step < math.inf and t_max >= 0.0 and math.isfinite(t_max / step)):
+        raise ValueError(
+            f"need a finite step > 0 and t_max >= 0 with finite t_max / step, "
+            f"got step={step}, t_max={t_max}"
+        )
     lo, hi = STAGE_BOX
 
     def stage(p: float, q: float) -> tuple[float, float]:

@@ -84,9 +84,6 @@ class JointState:
         if not (0.0 <= self.p1 <= 1.0 and 0.0 <= self.q1 <= 1.0):
             raise ValueError(f"state ({self.p1}, {self.q1}) outside [0, 1]^2")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p1, self.q1])
-
 
 class CaseKind(str, Enum):
     """Equilibrium structure of a non-degenerate 2x2 game."""

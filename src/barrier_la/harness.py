@@ -10,10 +10,11 @@ and consumes a fixed number of uniforms per iteration, in a fixed order:
 
 P-model games consume all four draws per step, S-model games only the two
 action draws.  Small batches run as plain per-run Python loops; large
-ensembles run in numpy lockstep across runs.  Both paths perform the same
-IEEE operations on the same stream, so results are identical bit for bit
-regardless of which path executes, and ensembles are reproducible
-independent of execution order.
+ensembles run in numpy lockstep across runs.  Both paths read the feedback
+and barrier-target tables of ``_game_constants``, indexed by the joint
+action, so they perform the same IEEE operations on the same stream:
+results are identical bit for bit regardless of which path executes, and
+ensembles are reproducible independent of execution order.
 """
 
 from __future__ import annotations
@@ -30,8 +31,11 @@ from .errors import EmptyTrajectory, NotCase3
 from .game import CaseKind, GameSpec, JointState, Model, classify, pure_equilibria
 from .learner import LearnerConfig
 
-# Above this many runs the numpy lockstep path beats per-run Python loops.
-_VECTOR_MIN_RUNS = 33
+# From this many runs on the numpy lockstep path beats per-run Python loops.
+# Median lockstep/per-run throughput ratio over 9 alternated pairs (case1,
+# 3000 steps, stride 100, 2-core x86, numpy 2.4) at 26/28/30/32 runs:
+# 0.87/0.91/1.02/1.13 with P feedback, 0.88/1.01/1.00/1.09 with S.
+_VECTOR_MIN_RUNS = 30
 # Uniform-draw buffer budget per chunk, in numbers drawn.  The scalar path
 # boxes its draws into a Python list, so it uses a smaller chunk.  Chunk
 # boundaries never affect results: each generator's stream is continuous.
@@ -214,29 +218,38 @@ def basin_split(
 
 
 # ----------------------------------------------------------------------
-# Engine internals.  The scalar and vector paths below must perform the
-# same IEEE-754 operations in the same order on the same uniform stream;
-# any edit to one side must be mirrored on the other.
+# Engine internals.  Both paths index the tables of _game_constants by the
+# joint action x = 2*(u0 >= p) + (u1 >= q) and apply p <- p + f*(t - p),
+# so each run sees the same IEEE-754 operations on the same uniform stream.
 # ----------------------------------------------------------------------
 
 
 def _game_constants(c: SimConfig):
-    """The constants both engine paths read: payoff entries of R and C, the
-    P-model flag, the two learning rates and the two players' barrier targets."""
+    """The P-model flag, the two learning rates and, per player, the 4-entry
+    tables both engine paths read.
+
+    Each table is indexed by the joint action x = 2*(u0 >= p) + (u1 >= q),
+    in the entry order (r11, r12, r21, r22) of PayoffMatrix.entry.  The
+    feedback tables hold the payoff entries of R and C under P and
+    theta*entry under S; the target tables hold each player's barrier
+    target, p_max after its first action and p_min after its second.
+    """
     R, C, a, b = c.spec.R, c.spec.C, c.cfg_a, c.cfg_b
-    return (
-        (R.r11, R.r12, R.r21, R.r22),
-        (C.r11, C.r12, C.r21, C.r22),
-        c.spec.model is Model.P,
-        (a.theta, b.theta),
-        (a.p_max, a.p_min, b.p_max, b.p_min),
+    ptype = c.spec.model is Model.P
+    feedback = []
+    for m, theta in ((R, a.theta), (C, b.theta)):
+        entries = (m.r11, m.r12, m.r21, m.r22)
+        feedback.append(entries if ptype else tuple(theta * e for e in entries))
+    targets = (
+        (a.p_max, a.p_max, a.p_min, a.p_min),
+        (b.p_max, b.p_min, b.p_max, b.p_min),
     )
+    return ptype, (a.theta, b.theta), tuple(feedback), targets
 
 
 def _simulate_single(c: SimConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """One run as a plain Python loop.  Returns (steps, states (n, 2))."""
-    (r11, r12, r21, r22), (c11, c12, c21, c22), ptype, (th_a, th_b), targets = _game_constants(c)
-    pmax_a, pmin_a, pmax_b, pmin_b = targets
+    ptype, (th_a, th_b), (fa_tab, fb_tab), (ta, tb) = _game_constants(c)
     p, q = c.x0.p1, c.x0.q1
     stride, steps = c.record_stride, c.steps
     rec = [(0, p, q)]
@@ -249,27 +262,16 @@ def _simulate_single(c: SimConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
         u = g.random(draws * k).tolist()
         j = 0
         for i in range(1, k + 1):
-            a1 = u[j] < p
-            b1 = u[j + 1] < q
-            if a1:
-                ra = r11 if b1 else r12
-                ca = c11 if b1 else c12
-                tp = pmax_a
-            else:
-                ra = r21 if b1 else r22
-                ca = c21 if b1 else c22
-                tp = pmin_a
-            tq = pmax_b if b1 else pmin_b
+            x = (2 if u[j] >= p else 0) + (u[j + 1] >= q)
             if ptype:
-                fa = 1.0 if u[j + 2] < ra else 0.0
-                fb = 1.0 if u[j + 3] < ca else 0.0
-                j += 4
+                fa = th_a if u[j + 2] < fa_tab[x] else 0.0
+                fb = th_b if u[j + 3] < fb_tab[x] else 0.0
             else:
-                fa = ra
-                fb = ca
-                j += 2
-            p = p + th_a * fa * (tp - p)
-            q = q + th_b * fb * (tq - q)
+                fa = fa_tab[x]
+                fb = fb_tab[x]
+            j += draws
+            p = p + fa * (ta[x] - p)
+            q = q + fb * (tb[x] - q)
             t = done + i
             if t % stride == 0 or t == steps:
                 rec.append((t, p, q))
@@ -297,31 +299,27 @@ def _simulate_batch(c: SimConfig, runs: int) -> tuple[np.ndarray, np.ndarray, np
 
 
 def _simulate_vector(c: SimConfig, runs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Numpy lockstep over runs; one generator per run, chunked draws."""
-    (r11, r12, r21, r22), (c11, c12, c21, c22), ptype, (th_a, th_b), targets = _game_constants(c)
-    pmax_a, pmin_a, pmax_b, pmin_b = targets
+    """Numpy lockstep over runs; one generator per run, chunked draws.
+
+    Row 0 of each (2, runs) array belongs to player A, row 1 to player B.
+    """
+    ptype, thetas, feedback, targets = _game_constants(c)
+    theta = np.array(thetas)[:, None]
+    f_tab = np.array(feedback)
+    t_tab = np.array(targets)
     steps, stride = c.steps, c.record_stride
 
     gens = [np.random.default_rng(per_run_seed(c.seed, k)) for k in range(runs)]
-    p = np.full(runs, c.x0.p1)
-    q = np.full(runs, c.x0.q1)
-    # Payoffs and targets are selected with masked fills of the exact
-    # constants rather than arithmetic, so every per-run value is bitwise
-    # the one the scalar path computes.
-    a1 = np.empty(runs, dtype=bool)
-    b1 = np.empty(runs, dtype=bool)
-    both = np.empty(runs, dtype=bool)
-    rew_a = np.empty(runs, dtype=bool)
-    rew_b = np.empty(runs, dtype=bool)
-    rab = np.empty(runs)
-    cab = np.empty(runs)
-    fa = np.empty(runs)
-    fb = np.empty(runs)
-    t1 = np.empty(runs)
-    t2 = np.empty(runs)
+    x = np.empty(runs, dtype=np.intp)
+    pq = np.empty((2, runs))
+    pq[0], pq[1] = c.x0.p1, c.x0.q1
+    second = np.empty((2, runs), dtype=np.intp)  # 1 where a player took its second action
+    f = np.empty((2, runs))
+    rewarded = np.empty((2, runs), dtype=bool)
+    d = np.empty((2, runs))
 
     rec_t = [0]
-    rec_mean = [(p.mean(), q.mean())]
+    rec_mean = [(pq[0].mean(), pq[1].mean())]
     draws = 4 if ptype else 2
     chunk = max(1, _CHUNK_BUDGET // (draws * runs))
     buf = None
@@ -331,49 +329,30 @@ def _simulate_vector(c: SimConfig, runs: int) -> tuple[np.ndarray, np.ndarray, n
         if buf is None or buf.shape[1] != k:
             buf = np.empty((runs, k, draws))
         for i, g in enumerate(gens):
-            buf[i] = g.random((k, draws))
+            g.random(out=buf[i])
         # (step, draw, run) layout makes the per-step slices contiguous.
+        # x is always in 0..3, so take's mode="clip" changes no index; it
+        # only spares the output copy that the default bounds check makes.
         U = np.ascontiguousarray(buf.transpose(1, 2, 0))
         for i in range(k):
             u = U[i]
-            np.less(u[0], p, out=a1)
-            np.less(u[1], q, out=b1)
-            np.logical_and(a1, b1, out=both)
-            np.copyto(rab, r22)
-            np.copyto(rab, r12, where=a1)
-            np.copyto(rab, r21, where=b1)
-            np.copyto(rab, r11, where=both)
-            np.copyto(cab, c22)
-            np.copyto(cab, c12, where=a1)
-            np.copyto(cab, c21, where=b1)
-            np.copyto(cab, c11, where=both)
+            np.greater_equal(u[:2], pq, out=second)
+            np.add(second[0], second[0], out=x)
+            np.add(x, second[1], out=x)
+            np.take(f_tab, x, axis=1, out=f, mode="clip")
             if ptype:
-                np.less(u[2], rab, out=rew_a)
-                np.less(u[3], cab, out=rew_b)
-                np.multiply(rew_a, th_a, out=fa)
-                np.multiply(rew_b, th_b, out=fb)
-            else:
-                np.multiply(rab, th_a, out=fa)
-                np.multiply(cab, th_b, out=fb)
-            # p += (theta*feedback) * (target - p); the product order matches
-            # the scalar path's theta * f * (target - p) up to commutativity.
-            np.copyto(t1, pmin_a)
-            np.copyto(t1, pmax_a, where=a1)
-            np.subtract(t1, p, out=t1)
-            np.multiply(t1, fa, out=t1)
-            np.add(p, t1, out=p)
-            np.copyto(t2, pmin_b)
-            np.copyto(t2, pmax_b, where=b1)
-            np.subtract(t2, q, out=t2)
-            np.multiply(t2, fb, out=t2)
-            np.add(q, t2, out=q)
+                np.less(u[2:], f, out=rewarded)
+                np.multiply(rewarded, theta, out=f)
+            np.take(t_tab, x, axis=1, out=d, mode="clip")
+            np.subtract(d, pq, out=d)
+            np.multiply(d, f, out=d)
+            np.add(pq, d, out=pq)
             t = done + i + 1
             if t % stride == 0 or t == steps:
                 rec_t.append(t)
-                rec_mean.append((p.mean(), q.mean()))
+                rec_mean.append((pq[0].mean(), pq[1].mean()))
         done += k
-    term = np.stack([p, q], axis=1)
-    return np.array(rec_t, dtype=np.int64), np.array(rec_mean), term
+    return np.array(rec_t, dtype=np.int64), np.array(rec_mean), pq.T.copy()
 
 
 # ----------------------------------------------------------------------

@@ -206,6 +206,28 @@ class TestOdeCommands:
         assert rc == 2
         assert "numerical error" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--t-max", "inf"),
+            ("--t-max", "nan"),
+            ("--t-max", "-5"),
+            ("--ode-step", "inf"),
+            ("--t-max", "1e300", "--ode-step", "1e-300"),
+        ],
+        ids=["t_max-inf", "t_max-nan", "t_max-negative", "step-inf", "steps-overflow"],
+    )
+    def test_non_finite_or_negative_rk4_inputs_are_validation_errors(
+        self, capsys, tmp_path, flags
+    ):
+        out = tmp_path / "x.csv"
+        rc, _, err = run_cli(
+            capsys, "ode-trajectory", "--preset", "case1", *flags, "--out", str(out)
+        )
+        assert rc == 1
+        assert "t_max" in err
+        assert not out.exists()
+
     def test_rk4_state_outside_unit_square_is_numerical_error(self, capsys, tmp_path):
         rc, _, err = run_cli(
             capsys, "ode-trajectory", "--preset", "case2",

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from barrier_la import (
@@ -26,9 +26,31 @@ from barrier_la import (
     write_error_table_csv,
     write_trajectory_csv,
 )
-from barrier_la.harness import _simulate_batch, _simulate_vector
+from barrier_la.harness import _VECTOR_MIN_RUNS, _simulate_batch, _simulate_vector
 
 from conftest import reference_loop
+
+
+@st.composite
+def sim_configs(draw, model):
+    """A random game under model, two learner configs (p_max = 1 drawn
+    often), a start state inside the barrier box, steps 0-300, strides 1-40
+    and a 64-bit seed."""
+    entries = draw(st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8))
+    cfg_a, cfg_b = (
+        LearnerConfig(
+            theta=draw(st.floats(1e-3, 0.999)),
+            p_max=draw(st.just(1.0) | st.floats(0.5, 1.0, exclude_min=True)),
+        )
+        for _ in range(2)
+    )
+    assume(cfg_a != cfg_b)
+    x0 = JointState(*(draw(st.floats(g.p_min, g.p_max)) for g in (cfg_a, cfg_b)))
+    spec = GameSpec(model, PayoffMatrix(*entries[:4]), PayoffMatrix(*entries[4:]))
+    steps = draw(st.integers(0, 300))
+    stride = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return SimConfig(spec, cfg_a, cfg_b, x0, steps, seed, stride)
 
 
 def make_config(spec, theta=0.01, p_max=0.99, steps=500, seed=42, stride=100, x0=(0.5, 0.5)):
@@ -54,26 +76,12 @@ class TestRunGame:
 
     @pytest.mark.parametrize("model", [Model.P, Model.S])
     @settings(max_examples=60, deadline=None)
-    @given(
-        entries=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
-        thetas=st.tuples(st.floats(1e-3, 0.999), st.floats(1e-3, 0.999)),
-        p_maxes=st.tuples(*[st.just(1.0) | st.floats(0.5, 1.0, exclude_min=True)] * 2),
-        start=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-        steps=st.integers(0, 300),
-        stride=st.integers(1, 40),
-        seed=st.integers(0, 2**64 - 1),
-    )
-    def test_engine_matches_composed_learner_loop(
-        self, model, entries, thetas, p_maxes, start, steps, stride, seed
-    ):
+    @given(data=st.data())
+    def test_engine_matches_composed_learner_loop(self, model, data):
         """On any game, learning rates, barriers (p_max = 1 included), start
         state and stride, the engine is bit-identical to reference_loop,
         which applies the paper's update one uniform draw at a time."""
-        cfg_a, cfg_b = (LearnerConfig(theta=t, p_max=m) for t, m in zip(thetas, p_maxes))
-        box = zip((cfg_a, cfg_b), start)
-        x0 = JointState(*(min(g.p_max, g.p_min + u * (g.p_max - g.p_min)) for g, u in box))
-        spec = GameSpec(model, PayoffMatrix(*entries[:4]), PayoffMatrix(*entries[4:]))
-        c = SimConfig(spec, cfg_a, cfg_b, x0, steps, seed, stride)
+        c = data.draw(sim_configs(model))
         traj = run_game(c)
         ref = reference_loop(c)
         assert traj.t.tolist() == [r[0] for r in ref]
@@ -101,12 +109,12 @@ class TestRunEnsemble:
         assert np.array_equal(ens.x, solo.x)
 
     @pytest.mark.parametrize("model", [Model.P, Model.S])
-    def test_scalar_and_vector_paths_agree_bitwise(self, case1, model):
-        # distinct players, so a swapped learning rate or barrier would show
-        cfg_a = LearnerConfig(theta=0.01, p_max=0.99)
-        cfg_b = LearnerConfig(theta=0.03, p_max=0.95)
-        c = SimConfig(case1.with_model(model), cfg_a, cfg_b, JointState(0.5, 0.5), 300, 42, 50)
-        runs = 8
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), runs=st.integers(1, _VECTOR_MIN_RUNS - 1))
+    def test_scalar_and_vector_paths_agree_bitwise(self, model, data, runs):
+        """Below _VECTOR_MIN_RUNS _simulate_batch loops over single runs; on
+        any config it is bit-identical to the lockstep path."""
+        c = data.draw(sim_configs(model))
         t_s, mean_s, term_s = _simulate_batch(c, runs)
         t_v, mean_v, term_v = _simulate_vector(c, runs)
         assert np.array_equal(t_s, t_v)
