@@ -27,7 +27,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the usage message
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        return args.func(args, _load_spec(args))
     except StepTooLarge as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
@@ -114,23 +114,15 @@ def _load_spec(args) -> GameSpec:
 
 def _sim_config(args, spec: GameSpec) -> harness.SimConfig:
     cfg = LearnerConfig(theta=args.theta, p_max=args.pmax)
-    return harness.SimConfig(
-        spec=spec,
-        cfg_a=cfg,
-        cfg_b=cfg,
-        x0=JointState(args.p0, args.q0),
-        steps=args.steps,
-        seed=args.seed,
-        record_stride=args.stride,
-    )
+    x0 = JointState(args.p0, args.q0)
+    return harness.SimConfig(spec, cfg, cfg, x0, args.steps, args.seed, args.stride)
 
 
 def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _cmd_classify(args) -> int:
-    spec = _load_spec(args)
+def _cmd_classify(args, spec: GameSpec) -> int:
     report = game.equilibrium_report(spec)
     _print_json(
         {
@@ -144,34 +136,25 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    spec = _load_spec(args)
+def _cmd_simulate(args, spec: GameSpec) -> int:
     traj = harness.run_game(_sim_config(args, spec))
     harness.write_trajectory_csv(traj, args.out)
     return 0
 
 
-def _cmd_ensemble(args) -> int:
-    spec = _load_spec(args)
+def _cmd_ensemble(args, spec: GameSpec) -> int:
     traj = harness.run_ensemble(_sim_config(args, spec), args.runs)
     harness.write_trajectory_csv(traj, args.out)
     return 0
 
 
-def _cmd_error_table(args) -> int:
-    spec = _load_spec(args)
+def _cmd_error_table(args, spec: GameSpec) -> int:
     p_max_values = _parse_floats(args.pmax_list, "pmax-list")
     theta_values = _parse_floats(args.theta_list, "theta-list")
     target = _default_target(args, spec)
     rows = harness.error_table(
-        spec,
-        target,
-        p_max_values,
-        theta_values,
-        steps=args.steps,
-        seed=args.seed,
-        x0=JointState(args.p0, args.q0),
-        record_stride=args.stride,
+        spec, target, p_max_values, theta_values, steps=args.steps, seed=args.seed,
+        x0=JointState(args.p0, args.q0), record_stride=args.stride,
     )
     harness.write_error_table_csv(rows, args.out)
     return 0
@@ -187,17 +170,10 @@ def _default_target(args, spec: GameSpec) -> JointState | None:
     return None  # score each cell against its nearest pure-equilibrium corner
 
 
-def _cmd_basin_split(args) -> int:
-    spec = _load_spec(args)
+def _cmd_basin_split(args, spec: GameSpec) -> int:
     cfg = LearnerConfig(theta=args.theta, p_max=args.pmax)
-    split = harness.basin_split(
-        spec,
-        cfg,
-        JointState(args.p0, args.q0),
-        runs=args.runs,
-        steps=args.steps,
-        seed=args.seed,
-    )
+    x0 = JointState(args.p0, args.q0)
+    split = harness.basin_split(spec, cfg, x0, runs=args.runs, steps=args.steps, seed=args.seed)
     _print_json(
         {
             "runs": split.runs,
@@ -208,8 +184,7 @@ def _cmd_basin_split(args) -> int:
     return 0
 
 
-def _cmd_ode_field(args) -> int:
-    spec = _load_spec(args)
+def _cmd_ode_field(args, spec: GameSpec) -> int:
     if args.grid_n < 2:
         raise ValueError("grid-n must be >= 2")
     dynamics._check_p_max(args.pmax)
@@ -223,21 +198,14 @@ def _cmd_ode_field(args) -> int:
     return 0
 
 
-def _cmd_ode_trajectory(args) -> int:
-    spec = _load_spec(args)
-    traj = dynamics.integrate(
-        spec,
-        JointState(args.p0, args.q0),
-        args.pmax,
-        step=args.ode_step,
-        t_max=args.t_max,
-    )
+def _cmd_ode_trajectory(args, spec: GameSpec) -> int:
+    x0 = JointState(args.p0, args.q0)
+    traj = dynamics.integrate(spec, x0, args.pmax, step=args.ode_step, t_max=args.t_max)
     harness.write_trajectory_csv(traj, args.out)
     return 0
 
 
-def _cmd_fixed_points(args) -> int:
-    spec = _load_spec(args)
+def _cmd_fixed_points(args, spec: GameSpec) -> int:
     points = dynamics.fixed_points(spec, args.pmax)
     if not points:
         print("numerical error: no fixed points found", file=sys.stderr)

@@ -9,17 +9,20 @@ and consumes a fixed number of uniforms per iteration, in a fixed order:
     u2: player A feedback draw      u3: player B feedback draw
 
 P-model games consume all four draws per step, S-model games only the two
-action draws.  Small batches run as plain per-run Python loops; large
-ensembles run in numpy lockstep across runs.  Both paths read the feedback
-and barrier-target tables of ``_game_constants``, indexed by the joint
-action, so they perform the same IEEE operations on the same stream:
-results are identical bit for bit regardless of which path executes, and
+action draws.  Every run goes through one C kernel, compiled on first use;
+without a C compiler a Python loop with the same arithmetic runs instead,
+after a RuntimeWarning.  Results are identical bit for bit on either, and
 ensembles are reproducible independent of execution order.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import threading
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -31,15 +34,10 @@ from .errors import EmptyTrajectory, NotCase3
 from .game import CaseKind, GameSpec, JointState, Model, classify, pure_equilibria
 from .learner import LearnerConfig
 
-# From this many runs on the numpy lockstep path beats per-run Python loops.
-# Median lockstep/per-run throughput ratio over 9 alternated pairs (case1,
-# 3000 steps, stride 100, 2-core x86, numpy 2.4) at 26/28/30/32 runs:
-# 0.87/0.91/1.02/1.13 with P feedback, 0.88/1.01/1.00/1.09 with S.
-_VECTOR_MIN_RUNS = 30
-# Uniform-draw buffer budget per chunk, in numbers drawn.  The scalar path
-# boxes its draws into a Python list, so it uses a smaller chunk.  Chunk
-# boundaries never affect results: each generator's stream is continuous.
-_CHUNK_BUDGET = 1 << 21
+# Recorded values (records x 2 players x runs) per kernel call.  Block
+# boundaries never affect results: each run's state and stream carry over.
+_BLOCK_BUDGET = 1 << 18
+# Uniform-draw buffer of the Python fallback, in numbers drawn.
 _CHUNK_BUDGET_SCALAR = 1 << 18
 
 
@@ -56,10 +54,10 @@ class SimConfig:
     record_stride: int = 100
 
     def __post_init__(self) -> None:
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
+        if not 0 <= self.steps < 2**63:
+            raise ValueError("steps must be in [0, 2**63)")
+        if not 1 <= self.record_stride < 2**63:
+            raise ValueError("record_stride must be in [1, 2**63)")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit non-negative integer")
         for name, v, cfg in (("p1", self.x0.p1, self.cfg_a), ("q1", self.x0.q1, self.cfg_b)):
@@ -104,8 +102,8 @@ def run_game(c: SimConfig) -> Trajectory:
     The state is recorded at step 0, every record_stride steps, and at the
     final step.  Bit-reproducible for a given SimConfig.
     """
-    t, states = _simulate_single(c, c.seed)
-    return Trajectory(TrajectoryKind.SIMULATED, t, states)
+    states = np.concatenate([block[:, :, 0] for block in _simulate(c, 1)])
+    return Trajectory(TrajectoryKind.SIMULATED, _record_steps(c), states)
 
 
 def run_ensemble(c: SimConfig, runs: int) -> Trajectory:
@@ -115,18 +113,15 @@ def run_ensemble(c: SimConfig, runs: int) -> Trajectory:
     fixed order so the result does not depend on how runs are scheduled.
     With runs=1 the output equals run_game(c) exactly.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    t, mean, _ = _simulate_batch(c, runs)
-    return Trajectory(TrajectoryKind.ENSEMBLE_MEAN, t, mean)
+    mean = np.concatenate([block.mean(axis=-1) for block in _simulate(c, runs)])
+    return Trajectory(TrajectoryKind.ENSEMBLE_MEAN, _record_steps(c), mean)
 
 
 def terminal_states(c: SimConfig, runs: int) -> np.ndarray:
     """Final (p1, q1) of each replica, shape (runs, 2)."""
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    _, _, term = _simulate_batch(c, runs)
-    return term
+    for block in _simulate(c, runs):
+        pass
+    return block[-1].T.copy()  # the final step is always recorded
 
 
 def steady_state_error(traj: Trajectory, target: JointState) -> float:
@@ -148,14 +143,9 @@ def _late_mean(traj: Trajectory) -> np.ndarray:
 
 
 def error_table(
-    spec: GameSpec,
-    target: Optional[JointState],
-    p_max_values: Sequence[float],
-    theta_values: Sequence[float],
-    steps: int,
-    seed: int,
-    x0: Optional[JointState] = None,
-    record_stride: int = 100,
+    spec: GameSpec, target: Optional[JointState], p_max_values: Sequence[float],
+    theta_values: Sequence[float], steps: int, seed: int,
+    x0: Optional[JointState] = None, record_stride: int = 100,
 ) -> list[ErrorTableRow]:
     """One single-run steady-state error per (p_max, theta) cell.
 
@@ -188,12 +178,7 @@ def _nearest_corner(spec: GameSpec, traj: Trajectory) -> JointState:
 
 
 def basin_split(
-    spec: GameSpec,
-    cfg: LearnerConfig,
-    x0: JointState,
-    runs: int,
-    steps: int,
-    seed: int,
+    spec: GameSpec, cfg: LearnerConfig, x0: JointState, runs: int, steps: int, seed: int
 ) -> BasinSplit:
     """Fraction of replicas ending nearest each stable fixed point.
 
@@ -218,15 +203,18 @@ def basin_split(
 
 
 # ----------------------------------------------------------------------
-# Engine internals.  Both paths index the tables of _game_constants by the
-# joint action x = 2*(u0 >= p) + (u1 >= q) and apply p <- p + f*(t - p),
-# so each run sees the same IEEE-754 operations on the same uniform stream.
+# Engine internals.  The C kernel reads each run's PCG64 through numpy's
+# bitgen_t interface.  It and its fallback _simulate_single index the tables
+# of _game_constants by the joint action x = 2*(u0 >= p) + (u1 >= q) and
+# apply p <- p + f*(t - p), so each run sees the same IEEE-754 operations on
+# the same uniform stream.  -ffp-contract=off (never -ffast-math) keeps C
+# from fusing a product into the following sum.
 # ----------------------------------------------------------------------
 
 
 def _game_constants(c: SimConfig):
     """The P-model flag, the two learning rates and, per player, the 4-entry
-    tables both engine paths read.
+    tables the engine reads.
 
     Each table is indexed by the joint action x = 2*(u0 >= p) + (u1 >= q),
     in the entry order (r11, r12, r21, r22) of PayoffMatrix.entry.  The
@@ -248,7 +236,8 @@ def _game_constants(c: SimConfig):
 
 
 def _simulate_single(c: SimConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """One run as a plain Python loop.  Returns (steps, states (n, 2))."""
+    """One run as a plain Python loop, the kernel's fallback and reference.
+    Returns (steps, states (n, 2))."""
     ptype, (th_a, th_b), (fa_tab, fb_tab), (ta, tb) = _game_constants(c)
     p, q = c.x0.p1, c.x0.q1
     stride, steps = c.record_stride, c.steps
@@ -280,79 +269,122 @@ def _simulate_single(c: SimConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return arr[:, 0].astype(np.int64), arr[:, 1:]
 
 
-def _simulate_batch(c: SimConfig, runs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All replicas of an ensemble.
-
-    Returns (recorded steps, mean states (n, 2), terminal states (runs, 2)).
-    """
-    if runs < _VECTOR_MIN_RUNS:
-        singles = [_simulate_single(c, per_run_seed(c.seed, k)) for k in range(runs)]
-        t = singles[0][0]
-        stacked = np.stack([s[1] for s in singles])  # (runs, n, 2)
-        # Mean along a contiguous axis, matching the vector path's per-step
-        # mean over the (runs,) state vector bit for bit.
-        by_sample = np.ascontiguousarray(stacked.transpose(1, 2, 0))  # (n, 2, runs)
-        mean = by_sample.mean(axis=-1)
-        term = stacked[:, -1, :].copy()
-        return t, mean, term
-    return _simulate_vector(c, runs)
+def _record_steps(c: SimConfig) -> np.ndarray:
+    """Step 0, every record_stride steps, and the final step."""
+    t = np.arange(c.steps // c.record_stride + 1, dtype=np.int64) * c.record_stride
+    return t if c.steps % c.record_stride == 0 else np.append(t, np.int64(c.steps))
 
 
-def _simulate_vector(c: SimConfig, runs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Numpy lockstep over runs; one generator per run, chunked draws.
-
-    Row 0 of each (2, runs) array belongs to player A, row 1 to player B.
-    """
-    ptype, thetas, feedback, targets = _game_constants(c)
-    theta = np.array(thetas)[:, None]
-    f_tab = np.array(feedback)
-    t_tab = np.array(targets)
-    steps, stride = c.steps, c.record_stride
-
-    gens = [np.random.default_rng(per_run_seed(c.seed, k)) for k in range(runs)]
-    x = np.empty(runs, dtype=np.intp)
+def _simulate(c: SimConfig, runs: int):
+    """Yield the states of all runs of c at _record_steps(c), one block of
+    shape (records, 2, runs) at a time.  Run k uses seed c.seed XOR k."""
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+    advance = _load_kernel()
+    if advance is None:
+        singles = [_simulate_single(c, per_run_seed(c.seed, k))[1] for k in range(runs)]
+        yield np.stack(singles, axis=-1)
+        return
+    ptype, (th_a, th_b), feedback, targets = _game_constants(c)
+    tables = [np.array(v, dtype=np.float64) for v in (*feedback, *targets)]
+    gens = [np.random.PCG64(per_run_seed(c.seed, k)) for k in range(runs)]
+    ptrs = (_capsule_pointer(g.capsule, b"BitGenerator") for g in gens)
+    bitgens = (ctypes.c_void_p * runs)(*ptrs)
     pq = np.empty((2, runs))
     pq[0], pq[1] = c.x0.p1, c.x0.q1
-    second = np.empty((2, runs), dtype=np.intp)  # 1 where a player took its second action
-    f = np.empty((2, runs))
-    rewarded = np.empty((2, runs), dtype=bool)
-    d = np.empty((2, runs))
+    t = _record_steps(c)
+    k = max(1, _BLOCK_BUDGET // (2 * runs))
+    for i in range(0, len(t), k):
+        rec = t[i : i + k]
+        block = np.empty((len(rec), 2, runs))
+        advance(
+            runs, bitgens, pq.ctypes.data, int(t[i - 1]) if i else 0, rec.ctypes.data,
+            len(rec), ptype, th_a, th_b, *(a.ctypes.data for a in tables), block.ctypes.data,
+        )
+        yield block
 
-    rec_t = [0]
-    rec_mean = [(pq[0].mean(), pq[1].mean())]
-    draws = 4 if ptype else 2
-    chunk = max(1, _CHUNK_BUDGET // (draws * runs))
-    buf = None
-    done = 0
-    while done < steps:
-        k = min(chunk, steps - done)
-        if buf is None or buf.shape[1] != k:
-            buf = np.empty((runs, k, draws))
-        for i, g in enumerate(gens):
-            g.random(out=buf[i])
-        # (step, draw, run) layout makes the per-step slices contiguous.
-        # x is always in 0..3, so take's mode="clip" changes no index; it
-        # only spares the output copy that the default bounds check makes.
-        U = np.ascontiguousarray(buf.transpose(1, 2, 0))
-        for i in range(k):
-            u = U[i]
-            np.greater_equal(u[:2], pq, out=second)
-            np.add(second[0], second[0], out=x)
-            np.add(x, second[1], out=x)
-            np.take(f_tab, x, axis=1, out=f, mode="clip")
-            if ptype:
-                np.less(u[2:], f, out=rewarded)
-                np.multiply(rewarded, theta, out=f)
-            np.take(t_tab, x, axis=1, out=d, mode="clip")
-            np.subtract(d, pq, out=d)
-            np.multiply(d, f, out=d)
-            np.add(pq, d, out=pq)
-            t = done + i + 1
-            if t % stride == 0 or t == steps:
-                rec_t.append(t)
-                rec_mean.append((pq[0].mean(), pq[1].mean()))
-        done += k
-    return np.array(rec_t, dtype=np.int64), np.array(rec_mean), pq.T.copy()
+
+_KERNEL_C = r"""
+#include <stdint.h>
+
+typedef struct {  /* numpy's bitgen_t; the kernel calls only next_double */
+    void *state, *next_uint64, *next_uint32;
+    double (*next_double)(void *);
+    void *next_raw;
+} bitgen_t;
+
+/* Advance each run from step t through the steps rec[0..k), storing its
+   state after rec[j] steps at out[j][0][run] and out[j][1][run].  pq holds
+   the (2, runs) states; fa, fb, ta, tb are the tables of _game_constants. */
+void advance(int64_t runs, bitgen_t **gen, double *pq, int64_t t,
+             const int64_t *rec, int64_t k, int ptype, double th_a, double th_b,
+             const double *fa, const double *fb, const double *ta,
+             const double *tb, double *out)
+{
+    for (int64_t r = 0; r < runs; r++) {
+        bitgen_t *g = gen[r];
+        double p = pq[r], q = pq[runs + r];
+        int64_t s = t;
+        for (int64_t j = 0; j < k; j++) {
+            for (; s < rec[j]; s++) {
+                double u0 = g->next_double(g->state);
+                double u1 = g->next_double(g->state);
+                int x = (u0 >= p ? 2 : 0) + (u1 >= q);
+                double f = fa[x], h = fb[x];
+                if (ptype) {
+                    double u2 = g->next_double(g->state);
+                    double u3 = g->next_double(g->state);
+                    f = u2 < f ? th_a : 0.0;
+                    h = u3 < h ? th_b : 0.0;
+                }
+                p = p + f * (ta[x] - p);
+                q = q + h * (tb[x] - q);
+            }
+            out[2 * j * runs + r] = p;
+            out[(2 * j + 1) * runs + r] = q;
+        }
+        pq[r] = p;
+        pq[runs + r] = q;
+    }
+}
+"""
+_CC = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+
+
+@functools.cache
+def _load_kernel():
+    """The kernel's advance function, or None after one RuntimeWarning if it
+    cannot be built.  Cached as $XDG_CACHE_HOME/barrier_la/kernel-<sha256 of
+    compile command and source>.so (default ~/.cache); later processes only
+    load it.  Imports are local so commands without Monte Carlo skip them."""
+    import hashlib
+    digest = hashlib.sha256((" ".join(_CC) + _KERNEL_C).encode()).hexdigest()
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "barrier_la")
+    so = cache / f"kernel-{digest}.so"
+    try:
+        if not so.exists():
+            import subprocess
+            cache.mkdir(parents=True, exist_ok=True)
+            tmp = so.with_name(f"{so.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+            try:
+                cmd = [*_CC, "-x", "c", "-", "-o", str(tmp)]
+                proc = subprocess.run(cmd, input=_KERNEL_C, capture_output=True, errors="replace")
+                if proc.returncode:
+                    raise OSError(f"cc exited {proc.returncode}: {proc.stderr.strip()}")
+                os.replace(tmp, so)
+            finally:
+                tmp.unlink(missing_ok=True)
+        advance = ctypes.CDLL(str(so)).advance
+    except OSError as exc:
+        warnings.warn(f"C kernel unavailable, using the Python loop: {exc}", RuntimeWarning)
+        return None
+    i64, ptr, f64, i32 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_int
+    advance.argtypes = [i64, ptr, ptr, i64, ptr, i64, i32, f64, f64, ptr, ptr, ptr, ptr, ptr]
+    advance.restype = None
+    return advance
 
 
 # ----------------------------------------------------------------------

@@ -71,6 +71,17 @@ class TestValidation:
         assert rc == 1
         assert "theta must be in (0,1)" in err
 
+    @pytest.mark.parametrize("flag", ["--steps", "--stride"])
+    def test_counts_beyond_int64_rejected_with_exit_1(self, capsys, tmp_path, flag):
+        # the kernel takes steps as int64; 2**63 would wrap to -2**63
+        rc, _, err = run_cli(
+            capsys, "simulate", "--preset", "case1", flag, str(2**63),
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert rc == 1
+        assert "2**63" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_flag_is_usage_error(self, capsys, tmp_path):
         rc, _, _ = run_cli(
             capsys, "simulate", "--preset", "case1", "--frobnicate", "1",

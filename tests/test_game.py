@@ -20,7 +20,9 @@ from barrier_la import (
     mixed_equilibrium,
     preset,
     pure_equilibria,
+    run_ensemble,
     run_game,
+    terminal_states,
 )
 from barrier_la import harness
 from barrier_la.game import discriminants, dump_game, from_dict, load_game, to_dict
@@ -222,10 +224,18 @@ class TestSampleFeedback:
         assert rates[1] == pytest.approx(0.3, abs=3 * np.sqrt(0.3 * 0.7 / n))
 
     def test_fixed_seed_is_reproducible(self, case1, monkeypatch):
-        # the draws are one continuous stream per seed, whatever the chunking
+        # the draws are one continuous stream per seed, whatever the blocking
         want = simulate(case1, 500, seed=97)
-        monkeypatch.setattr(harness, "_CHUNK_BUDGET_SCALAR", 12)  # 3 steps per chunk
+        monkeypatch.setattr(harness, "_BLOCK_BUDGET", 2)  # one record per kernel call
         assert simulate(case1, 500, seed=97).tolist() == want.tolist()
+
+    def test_block_boundaries_never_change_an_ensemble(self, case1, monkeypatch):
+        cfg = LearnerConfig(theta=0.01, p_max=0.99)
+        c = SimConfig(case1, cfg, cfg, JointState(0.5, 0.5), 500, 97, 7)
+        want = run_ensemble(c, 40).x, terminal_states(c, 40)
+        monkeypatch.setattr(harness, "_BLOCK_BUDGET", 2 * 40 * 5)  # 5 of the 73 records per call
+        assert np.array_equal(run_ensemble(c, 40).x, want[0])
+        assert np.array_equal(terminal_states(c, 40), want[1])
 
     def test_draw_order_is_a_then_b(self):
         # per step: action draws u0, u1, then reward draws u2 for A, u3 for B

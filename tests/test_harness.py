@@ -1,5 +1,6 @@
 import csv
 import math
+import subprocess
 
 import numpy as np
 import pytest
@@ -23,10 +24,11 @@ from barrier_la import (
     run_ensemble,
     run_game,
     steady_state_error,
+    terminal_states,
     write_error_table_csv,
     write_trajectory_csv,
 )
-from barrier_la.harness import _VECTOR_MIN_RUNS, _simulate_batch, _simulate_vector
+from barrier_la.harness import _load_kernel, _simulate_single
 
 from conftest import reference_loop
 
@@ -51,6 +53,14 @@ def sim_configs(draw, model):
     stride = draw(st.integers(1, 40))
     seed = draw(st.integers(0, 2**64 - 1))
     return SimConfig(spec, cfg_a, cfg_b, x0, steps, seed, stride)
+
+
+@pytest.fixture
+def fresh_loader():
+    """Forget the loaded kernel before and after the test."""
+    _load_kernel.cache_clear()
+    yield
+    _load_kernel.cache_clear()
 
 
 def make_config(spec, theta=0.01, p_max=0.99, steps=500, seed=42, stride=100, x0=(0.5, 0.5)):
@@ -87,6 +97,12 @@ class TestRunGame:
         assert traj.t.tolist() == [r[0] for r in ref]
         assert traj.x.tolist() == [[r[1], r[2]] for r in ref]
 
+    def test_integer_payoff_entries(self):
+        # the kernel reads its tables as doubles, whatever type the entries have
+        m = PayoffMatrix(1, 0, 0, 1)
+        c = make_config(GameSpec(Model.P, m, m), theta=0.1, steps=300, stride=1, seed=3)
+        assert run_game(c).x.tolist() == [[r[1], r[2]] for r in reference_loop(c)]
+
     def test_states_stay_inside_barrier_box(self, case3):
         c = make_config(case3, theta=0.2, p_max=0.93, steps=5000, stride=1)
         traj = run_game(c)
@@ -110,16 +126,33 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("model", [Model.P, Model.S])
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), runs=st.integers(1, _VECTOR_MIN_RUNS - 1))
+    @given(data=st.data(), runs=st.integers(1, 69))
     def test_scalar_and_vector_paths_agree_bitwise(self, model, data, runs):
-        """Below _VECTOR_MIN_RUNS _simulate_batch loops over single runs; on
-        any config it is bit-identical to the lockstep path."""
+        """On any config the C kernel is bit-identical to the Python loop
+        _simulate_single: recorded steps, ensemble mean and terminal states."""
+        assert _load_kernel() is not None
         c = data.draw(sim_configs(model))
-        t_s, mean_s, term_s = _simulate_batch(c, runs)
-        t_v, mean_v, term_v = _simulate_vector(c, runs)
-        assert np.array_equal(t_s, t_v)
-        assert np.array_equal(mean_s, mean_v)
-        assert np.array_equal(term_s, term_v)
+        singles = [_simulate_single(c, per_run_seed(c.seed, k)) for k in range(runs)]
+        states = np.stack([x for _, x in singles], axis=-1)  # (records, 2, runs)
+        ens = run_ensemble(c, runs)
+        assert all(np.array_equal(t, ens.t) for t, _ in singles)
+        assert np.array_equal(ens.x, states.mean(axis=-1))
+        assert np.array_equal(terminal_states(c, runs), states[-1].T)
+
+    def test_python_fallback_warns_and_matches_the_kernel(
+        self, case1, tmp_path, monkeypatch, fresh_loader
+    ):
+        c = make_config(case1, steps=500, stride=7)
+        want = run_game(c), run_ensemble(c, 40), terminal_states(c, 40)
+        _load_kernel.cache_clear()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))  # no cached kernel
+        monkeypatch.setenv("PATH", "")  # and no cc to build one
+        with pytest.warns(RuntimeWarning, match="Python loop"):
+            assert _load_kernel() is None
+        got = run_game(c), run_ensemble(c, 40), terminal_states(c, 40)
+        for w, g in zip(want[:2], got[:2]):
+            assert np.array_equal(w.t, g.t) and np.array_equal(w.x, g.x)
+        assert np.array_equal(want[2], got[2])
 
     def test_mean_is_average_of_per_run_games(self, case1):
         c = make_config(case1, steps=200, stride=100)
@@ -276,3 +309,28 @@ class TestCsvOutput:
         assert len(parsed) == 1
         assert float(parsed[0]["error"]) == rows[0].error
         assert float(parsed[0]["p_max"]) == 0.99
+
+
+class TestKernelCache:
+    def test_compiles_once_per_source_hash(self, case1, tmp_path, monkeypatch, fresh_loader):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        cache = tmp_path / "barrier_la"
+        cache.mkdir()
+        (cache / f"kernel-{'0' * 64}.so").write_bytes(b"built from another source")
+        compiles = []
+        real_run = subprocess.run
+        monkeypatch.setattr(
+            subprocess, "run", lambda *a, **k: compiles.append(a) or real_run(*a, **k)
+        )
+        assert _load_kernel() is not None  # the stale file is never loaded
+        assert len(compiles) == 1
+        assert len(list(cache.iterdir())) == 2  # the stale file and the new kernel, no temp file
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("the cached kernel was compiled again")
+
+        _load_kernel.cache_clear()
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        assert _load_kernel() is not None
+        c = make_config(case1, steps=300, stride=7)
+        assert run_game(c).x.tolist() == [[r[1], r[2]] for r in reference_loop(c)]
