@@ -48,7 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--preset", choices=sorted(game.PRESETS), help="built-in game")
         src.add_argument("--game", metavar="PATH", help="game spec JSON file")
-        p.add_argument("--model", choices=["p", "s"], help="override the feedback model")
         if out:
             p.add_argument("--out", required=True, metavar="PATH", help="CSV output path")
         p.set_defaults(func=func)
@@ -64,18 +63,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=1000)
 
     p = add("error-table", "steady-state error per (p_max, theta) cell", _cmd_error_table, out=True)
+    _sim_flags(p, learner=False, steps=5_000_000)
     p.add_argument("--pmax-list", required=True, help="comma-separated p_max values")
     p.add_argument("--theta-list", required=True, help="comma-separated theta values")
-    p.add_argument("--steps", type=int, default=5_000_000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--stride", type=int, default=100)
-    p.add_argument("--p0", type=float, default=0.5)
-    p.add_argument("--q0", type=float, default=0.5)
     p.add_argument("--target-p", type=float, help="target p1 (default: game equilibrium)")
     p.add_argument("--target-q", type=float, help="target q1 (default: game equilibrium)")
 
     p = add("basin-split", "fraction of runs per stable fixed point, JSON", _cmd_basin_split)
-    _sim_flags(p)
+    _sim_flags(p, stride=False)  # only the final state of each run is used
     p.add_argument("--runs", type=int, default=1000)
 
     p = add("ode-field", "drift field on a lattice, CSV p1,q1,w1,w2", _cmd_ode_field, out=True)
@@ -95,19 +90,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sim_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta", type=float, default=0.01)
-    p.add_argument("--pmax", type=float, default=0.99)
-    p.add_argument("--steps", type=int, default=100_000)
+def _sim_flags(p, *, learner: bool = True, steps: int = 100_000, stride: bool = True) -> None:
+    """The flags of the commands that simulate; only these depend on the
+    feedback model."""
+    p.add_argument("--model", choices=["p", "s"], help="override the feedback model")
+    if learner:
+        p.add_argument("--theta", type=float, default=0.01)
+        p.add_argument("--pmax", type=float, default=0.99)
+    p.add_argument("--steps", type=int, default=steps)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--p0", type=float, default=0.5)
     p.add_argument("--q0", type=float, default=0.5)
-    p.add_argument("--stride", type=int, default=100)
+    if stride:
+        p.add_argument("--stride", type=int, default=100)
 
 
 def _load_spec(args) -> GameSpec:
     spec = game.preset(args.preset) if args.preset else game.load_game(args.game)
-    if args.model:
+    if getattr(args, "model", None):
         spec = spec.with_model(Model(args.model.upper()))
     return spec
 
@@ -191,10 +191,7 @@ def _cmd_ode_field(args, spec: GameSpec) -> int:
     grid = np.linspace(0.0, 1.0, args.grid_n)
     p1, q1 = (g.ravel() for g in np.meshgrid(grid, grid, indexing="ij"))
     w1, w2 = dynamics._field(spec, p1, q1, args.pmax)
-    rows = zip(p1.tolist(), q1.tolist(), w1.tolist(), w2.tolist())
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("p1,q1,w1,w2\n")
-        fh.writelines(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
+    harness._write_csv(args.out, "p1,q1,w1,w2", p1, q1, w1, w2)
     return 0
 
 

@@ -9,10 +9,11 @@ and consumes a fixed number of uniforms per iteration, in a fixed order:
     u2: player A feedback draw      u3: player B feedback draw
 
 P-model games consume all four draws per step, S-model games only the two
-action draws.  Every run goes through one C kernel, compiled on first use;
-without a C compiler a Python loop with the same arithmetic runs instead,
-after a RuntimeWarning.  Results are identical bit for bit on either, and
-ensembles are reproducible independent of execution order.
+action draws.  One driver, _simulate, advances every run through one C
+kernel, compiled on first use; without a C compiler its Python twin, with
+the same arguments and arithmetic, runs instead after a RuntimeWarning.
+Results are identical bit for bit on either, and ensembles are reproducible
+independent of execution order.
 """
 
 from __future__ import annotations
@@ -34,11 +35,10 @@ from .errors import EmptyTrajectory, NotCase3
 from .game import CaseKind, GameSpec, JointState, Model, classify, pure_equilibria
 from .learner import LearnerConfig
 
-# Recorded values (records x 2 players x runs) per kernel call.  Block
-# boundaries never affect results: each run's state and stream carry over.
+# Recorded values (records x 2 players x runs) per advance call, and the
+# uniforms per draw buffer of the Python twin.  Block boundaries never affect
+# results: each run's state and stream carry over.
 _BLOCK_BUDGET = 1 << 18
-# Uniform-draw buffer of the Python fallback, in numbers drawn.
-_CHUNK_BUDGET_SCALAR = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -203,70 +203,15 @@ def basin_split(
 
 
 # ----------------------------------------------------------------------
-# Engine internals.  The C kernel reads each run's PCG64 through numpy's
-# bitgen_t interface.  It and its fallback _simulate_single index the tables
-# of _game_constants by the joint action x = 2*(u0 >= p) + (u1 >= q) and
-# apply p <- p + f*(t - p), so each run sees the same IEEE-754 operations on
-# the same uniform stream.  -ffp-contract=off (never -ffast-math) keeps C
-# from fusing a product into the following sum.
+# Engine internals.  _simulate drives every run through advance(), which is
+# the C kernel or, without a compiler, its Python twin _advance_py: same
+# arguments, same loops, the same (records, 2, runs) blocks.  Both index the
+# rows of one (4, 4) table (feedback A, feedback B, target A, target B) by
+# the joint action x = 2*(u0 >= p) + (u1 >= q) and apply p <- p + f*(t - p),
+# so each run sees the same IEEE-754 operations on the same uniform stream.
+# -ffp-contract=off (never -ffast-math) keeps C from fusing a product into
+# the following sum.
 # ----------------------------------------------------------------------
-
-
-def _game_constants(c: SimConfig):
-    """The P-model flag, the two learning rates and, per player, the 4-entry
-    tables the engine reads.
-
-    Each table is indexed by the joint action x = 2*(u0 >= p) + (u1 >= q),
-    in the entry order (r11, r12, r21, r22) of PayoffMatrix.entry.  The
-    feedback tables hold the payoff entries of R and C under P and
-    theta*entry under S; the target tables hold each player's barrier
-    target, p_max after its first action and p_min after its second.
-    """
-    R, C, a, b = c.spec.R, c.spec.C, c.cfg_a, c.cfg_b
-    ptype = c.spec.model is Model.P
-    feedback = []
-    for m, theta in ((R, a.theta), (C, b.theta)):
-        entries = (m.r11, m.r12, m.r21, m.r22)
-        feedback.append(entries if ptype else tuple(theta * e for e in entries))
-    targets = (
-        (a.p_max, a.p_max, a.p_min, a.p_min),
-        (b.p_max, b.p_min, b.p_max, b.p_min),
-    )
-    return ptype, (a.theta, b.theta), tuple(feedback), targets
-
-
-def _simulate_single(c: SimConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """One run as a plain Python loop, the kernel's fallback and reference.
-    Returns (steps, states (n, 2))."""
-    ptype, (th_a, th_b), (fa_tab, fb_tab), (ta, tb) = _game_constants(c)
-    p, q = c.x0.p1, c.x0.q1
-    stride, steps = c.record_stride, c.steps
-    rec = [(0, p, q)]
-    g = np.random.default_rng(seed)
-    draws = 4 if ptype else 2
-    chunk = max(1, _CHUNK_BUDGET_SCALAR // draws)
-    done = 0
-    while done < steps:
-        k = min(chunk, steps - done)
-        u = g.random(draws * k).tolist()
-        j = 0
-        for i in range(1, k + 1):
-            x = (2 if u[j] >= p else 0) + (u[j + 1] >= q)
-            if ptype:
-                fa = th_a if u[j + 2] < fa_tab[x] else 0.0
-                fb = th_b if u[j + 3] < fb_tab[x] else 0.0
-            else:
-                fa = fa_tab[x]
-                fb = fb_tab[x]
-            j += draws
-            p = p + fa * (ta[x] - p)
-            q = q + fb * (tb[x] - q)
-            t = done + i
-            if t % stride == 0 or t == steps:
-                rec.append((t, p, q))
-        done += k
-    arr = np.array(rec)
-    return arr[:, 0].astype(np.int64), arr[:, 1:]
 
 
 def _record_steps(c: SimConfig) -> np.ndarray:
@@ -280,16 +225,23 @@ def _simulate(c: SimConfig, runs: int):
     shape (records, 2, runs) at a time.  Run k uses seed c.seed XOR k."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    a, b = c.cfg_a, c.cfg_b
+    ptype = c.spec.model is Model.P
+    fa, fb = ((m.r11, m.r12, m.r21, m.r22) for m in (c.spec.R, c.spec.C))
+    if not ptype:  # S feeds theta * entry back; P draws a reward with the entry's probability
+        fa, fb = [a.theta * e for e in fa], [b.theta * e for e in fb]
+    tab = np.array(
+        [fa, fb, (a.p_max, a.p_max, a.p_min, a.p_min), (b.p_max, b.p_min, b.p_max, b.p_min)],
+        dtype=np.float64,
+    )
+    # the kernel gets raw pointers into these; they stay referenced to the last block
+    gens = [np.random.PCG64(per_run_seed(c.seed, k)) for k in range(runs)]
     advance = _load_kernel()
     if advance is None:
-        singles = [_simulate_single(c, per_run_seed(c.seed, k))[1] for k in range(runs)]
-        yield np.stack(singles, axis=-1)
-        return
-    ptype, (th_a, th_b), feedback, targets = _game_constants(c)
-    tables = [np.array(v, dtype=np.float64) for v in (*feedback, *targets)]
-    gens = [np.random.PCG64(per_run_seed(c.seed, k)) for k in range(runs)]
-    ptrs = (_capsule_pointer(g.capsule, b"BitGenerator") for g in gens)
-    bitgens = (ctypes.c_void_p * runs)(*ptrs)
+        advance, handles = _advance_py, [np.random.Generator(g) for g in gens]
+    else:
+        ptrs = (_capsule_pointer(g.capsule, b"BitGenerator") for g in gens)
+        handles = (ctypes.c_void_p * runs)(*ptrs)
     pq = np.empty((2, runs))
     pq[0], pq[1] = c.x0.p1, c.x0.q1
     t = _record_steps(c)
@@ -297,11 +249,44 @@ def _simulate(c: SimConfig, runs: int):
     for i in range(0, len(t), k):
         rec = t[i : i + k]
         block = np.empty((len(rec), 2, runs))
-        advance(
-            runs, bitgens, pq.ctypes.data, int(t[i - 1]) if i else 0, rec.ctypes.data,
-            len(rec), ptype, th_a, th_b, *(a.ctypes.data for a in tables), block.ctypes.data,
-        )
+        advance(runs, handles, pq, int(t[i - 1]) if i else 0, rec, len(rec), ptype, a.theta,
+                b.theta, tab, block)
         yield block
+
+
+def _advance_py(runs, gens, pq, t, rec, k, ptype, th_a, th_b, tab, out) -> None:
+    """The C kernel's twin in Python, for gens[r] a numpy Generator on run
+    r's PCG64.  Draws up to _BLOCK_BUDGET uniforms per buffer, never past rec[k-1]."""
+    fa, fb, ta, tb = tab.tolist()
+    draws = 4 if ptype else 2
+    chunk = max(1, _BLOCK_BUDGET // draws)
+    stops = [*rec[:k].tolist(), -1]  # -1 once every record is stored
+    end = stops[k - 1]
+    for r in range(runs):
+        g = gens[r]
+        p, q = pq[:, r].tolist()
+        s, i, ps, qs = t, 0, [], []
+        if stops[0] == s:  # step 0, recorded before any draw
+            i, ps, qs = 1, [p], [q]
+        while s < end:
+            n = min(chunk, end - s)
+            u = g.random(draws * n).tolist()
+            for j in range(0, draws * n, draws):
+                x = (2 if u[j] >= p else 0) + (u[j + 1] >= q)
+                if ptype:
+                    f = th_a if u[j + 2] < fa[x] else 0.0
+                    h = th_b if u[j + 3] < fb[x] else 0.0
+                else:
+                    f, h = fa[x], fb[x]
+                p = p + f * (ta[x] - p)
+                q = q + h * (tb[x] - q)
+                s += 1
+                if s == stops[i]:
+                    ps.append(p)
+                    qs.append(q)
+                    i += 1
+        out[:, 0, r], out[:, 1, r] = ps, qs
+        pq[0, r], pq[1, r] = p, q
 
 
 _KERNEL_C = r"""
@@ -315,12 +300,13 @@ typedef struct {  /* numpy's bitgen_t; the kernel calls only next_double */
 
 /* Advance each run from step t through the steps rec[0..k), storing its
    state after rec[j] steps at out[j][0][run] and out[j][1][run].  pq holds
-   the (2, runs) states; fa, fb, ta, tb are the tables of _game_constants. */
+   the (2, runs) states; tab the rows feedback A, feedback B, target A and
+   target B, each indexed by the joint action. */
 void advance(int64_t runs, bitgen_t **gen, double *pq, int64_t t,
              const int64_t *rec, int64_t k, int ptype, double th_a, double th_b,
-             const double *fa, const double *fb, const double *ta,
-             const double *tb, double *out)
+             const double *tab, double *out)
 {
+    const double *fa = tab, *fb = tab + 4, *ta = tab + 8, *tb = tab + 12;
     for (int64_t r = 0; r < runs; r++) {
         bitgen_t *g = gen[r];
         double p = pq[r], q = pq[runs + r];
@@ -381,8 +367,9 @@ def _load_kernel():
     except OSError as exc:
         warnings.warn(f"C kernel unavailable, using the Python loop: {exc}", RuntimeWarning)
         return None
-    i64, ptr, f64, i32 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_int
-    advance.argtypes = [i64, ptr, ptr, i64, ptr, i64, i32, f64, f64, ptr, ptr, ptr, ptr, ptr]
+    i64, f64, i32 = ctypes.c_int64, ctypes.c_double, ctypes.c_int
+    f8, i8 = (np.ctypeslib.ndpointer(d, flags="C_CONTIGUOUS") for d in (np.float64, np.int64))
+    advance.argtypes = [i64, ctypes.c_void_p, f8, i64, i8, i64, i32, f64, f64, f8, f8]
     advance.restype = None
     return advance
 
@@ -393,29 +380,25 @@ def _load_kernel():
 # ----------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+def _write_csv(path: str | Path, header: str, *columns: np.ndarray) -> None:
+    """Write header, then row i of the columns: integers as such, floats with
+    17 significant digits."""
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(row % v for v in zip(*(c.tolist() for c in columns)))
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     """Write a trajectory as CSV: step,p1,q1 (mean_p1/mean_q1 for ensembles)."""
-    if traj.kind is TrajectoryKind.ENSEMBLE_MEAN:
-        header = "step,mean_p1,mean_q1"
-    elif traj.kind is TrajectoryKind.ODE:
-        header = "t,p1,q1"
-    else:
-        header = "step,p1,q1"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        integer_steps = traj.kind is not TrajectoryKind.ODE
-        for t, (p1, q1) in zip(traj.t, traj.x):
-            t_s = str(int(t)) if integer_steps else _fmt(t)
-            fh.write(f"{t_s},{_fmt(p1)},{_fmt(q1)}\n")
+    if traj.kind is TrajectoryKind.ODE:
+        _write_csv(path, "t,p1,q1", traj.t, traj.x[:, 0], traj.x[:, 1])
+        return
+    header = "step,mean_p1,mean_q1" if traj.kind is TrajectoryKind.ENSEMBLE_MEAN else "step,p1,q1"
+    _write_csv(path, header, traj.t.astype(np.int64), traj.x[:, 0], traj.x[:, 1])
 
 
 def write_error_table_csv(rows: Sequence[ErrorTableRow], path: str | Path) -> None:
     """Write error-table rows as CSV: p_max,theta,error."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("p_max,theta,error\n")
-        for row in rows:
-            fh.write(f"{_fmt(row.p_max)},{_fmt(row.theta)},{_fmt(row.error)}\n")
+    cols = np.array([(r.p_max, r.theta, r.error) for r in rows], dtype=np.float64).reshape(-1, 3)
+    _write_csv(path, "p_max,theta,error", *cols.T)

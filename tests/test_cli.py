@@ -89,6 +89,28 @@ class TestValidation:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("basin-split", "--preset", "case3", "--stride", "10"),
+            ("classify", "--preset", "case1", "--model", "s"),
+            ("fixed-points", "--preset", "case1", "--model", "s"),
+            ("ode-field", "--preset", "case1", "--model", "s", "--out", "x.csv"),
+            ("ode-trajectory", "--preset", "case1", "--model", "s", "--out", "x.csv"),
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[3]}",
+    )
+    def test_flags_a_command_would_ignore_are_usage_errors(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        # basin_split reads only the final states; equilibria and the drift
+        # do not depend on the feedback model
+        monkeypatch.chdir(tmp_path)
+        rc, _, err = run_cli(capsys, *argv)
+        assert rc == 2
+        assert "unrecognized arguments" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_preset_rejected(self, capsys):
         rc, _, _ = run_cli(capsys, "classify", "--preset", "case9")
         assert rc == 2

@@ -1,6 +1,7 @@
 import csv
 import math
 import subprocess
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from barrier_la import (
     write_error_table_csv,
     write_trajectory_csv,
 )
-from barrier_la.harness import _load_kernel, _simulate_single
+from barrier_la import harness
+from barrier_la.harness import _load_kernel, _simulate
 
 from conftest import reference_loop
 
@@ -126,18 +128,19 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("model", [Model.P, Model.S])
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), runs=st.integers(1, 69))
-    def test_scalar_and_vector_paths_agree_bitwise(self, model, data, runs):
-        """On any config the C kernel is bit-identical to the Python loop
-        _simulate_single: recorded steps, ensemble mean and terminal states."""
+    @given(data=st.data(), runs=st.integers(1, 69), budget=st.integers(2, 400))
+    def test_scalar_and_vector_paths_agree_bitwise(self, model, data, runs, budget):
+        """On any config and any _BLOCK_BUDGET, so across block and draw
+        buffer boundaries, _simulate yields the same blocks bit for bit with
+        the C kernel and with its Python twin."""
         assert _load_kernel() is not None
         c = data.draw(sim_configs(model))
-        singles = [_simulate_single(c, per_run_seed(c.seed, k)) for k in range(runs)]
-        states = np.stack([x for _, x in singles], axis=-1)  # (records, 2, runs)
-        ens = run_ensemble(c, runs)
-        assert all(np.array_equal(t, ens.t) for t, _ in singles)
-        assert np.array_equal(ens.x, states.mean(axis=-1))
-        assert np.array_equal(terminal_states(c, runs), states[-1].T)
+        with mock.patch.object(harness, "_BLOCK_BUDGET", budget):
+            want = list(_simulate(c, runs))
+            with mock.patch.object(harness, "_load_kernel", lambda: None):
+                got = list(_simulate(c, runs))
+        assert [b.shape for b in got] == [b.shape for b in want]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_python_fallback_warns_and_matches_the_kernel(
         self, case1, tmp_path, monkeypatch, fresh_loader
@@ -153,6 +156,15 @@ class TestRunEnsemble:
         for w, g in zip(want[:2], got[:2]):
             assert np.array_equal(w.t, g.t) and np.array_equal(w.x, g.x)
         assert np.array_equal(want[2], got[2])
+
+    def test_python_twin_yields_bounded_blocks(self, case1, monkeypatch):
+        c = make_config(case1, steps=500, stride=7)
+        want = np.concatenate(list(_simulate(c, 40)))  # 73 records
+        monkeypatch.setattr(harness, "_load_kernel", lambda: None)
+        monkeypatch.setattr(harness, "_BLOCK_BUDGET", 2 * 40 * 5)
+        got = list(_simulate(c, 40))
+        assert max(len(b) for b in got) == 5
+        assert np.array_equal(np.concatenate(got), want)
 
     def test_mean_is_average_of_per_run_games(self, case1):
         c = make_config(case1, steps=200, stride=100)
