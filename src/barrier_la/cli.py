@@ -9,6 +9,7 @@ ode-trajectory) goes to the --out path as CSV.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -21,9 +22,8 @@ from .learner import LearnerConfig
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the usage message
         return int(exc.code) if exc.code else 0
     try:
@@ -31,11 +31,12 @@ def main(argv=None) -> int:
     except StepTooLarge as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="barrier-la",
@@ -151,23 +152,15 @@ def _cmd_ensemble(args, spec: GameSpec) -> int:
 def _cmd_error_table(args, spec: GameSpec) -> int:
     p_max_values = _parse_floats(args.pmax_list, "pmax-list")
     theta_values = _parse_floats(args.theta_list, "theta-list")
-    target = _default_target(args, spec)
+    if (args.target_p is None) != (args.target_q is None):
+        raise ValueError("provide both --target-p and --target-q or neither")
+    target = None if args.target_p is None else JointState(args.target_p, args.target_q)
     rows = harness.error_table(
         spec, target, p_max_values, theta_values, steps=args.steps, seed=args.seed,
         x0=JointState(args.p0, args.q0), record_stride=args.stride,
     )
     harness.write_error_table_csv(rows, args.out)
     return 0
-
-
-def _default_target(args, spec: GameSpec) -> JointState | None:
-    if (args.target_p is None) != (args.target_q is None):
-        raise ValueError("provide both --target-p and --target-q or neither")
-    if args.target_p is not None:
-        return JointState(args.target_p, args.target_q)
-    if game.classify(spec) is game.CaseKind.MIXED_ONLY:
-        return JointState(*game.mixed_equilibrium(spec))
-    return None  # score each cell against its nearest pure-equilibrium corner
 
 
 def _cmd_basin_split(args, spec: GameSpec) -> int:

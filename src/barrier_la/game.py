@@ -155,15 +155,19 @@ def mixed_equilibrium(spec: GameSpec) -> tuple[float, float]:
     """Interior mixed equilibrium (p_opt, q_opt) from the indifference conditions.
 
     p_opt = (c22 - c21) / L' makes player B indifferent between its two
-    actions, and q_opt = (r22 - r12) / L does the same for player A.
+    actions, and q_opt = (r22 - r12) / L does the same for player A.  Each
+    is computed as d / (c + d) with c, d the two payoff differences that sum
+    to the discriminant: when they share a sign, as they do for an interior
+    equilibrium, rounding keeps the ratio in [0, 1].
     Raises DegenerateGame when a discriminant vanishes and NotInSimplex
     when a coordinate falls outside [0, 1] (no interior mixed equilibrium).
     """
-    L, L_prime = discriminants(spec)
-    if L == 0.0 or L_prime == 0.0:
+    a, b = spec.R.r11 - spec.R.r21, spec.R.r22 - spec.R.r12
+    c, d = spec.C.r11 - spec.C.r12, spec.C.r22 - spec.C.r21
+    if a + b == 0.0 or c + d == 0.0:
         raise DegenerateGame("discriminant L or L' is zero")
-    p_opt = (spec.C.r22 - spec.C.r21) / L_prime
-    q_opt = (spec.R.r22 - spec.R.r12) / L
+    p_opt = d / (c + d)
+    q_opt = b / (a + b)
     if not (0.0 <= p_opt <= 1.0 and 0.0 <= q_opt <= 1.0):
         raise NotInSimplex(f"computed mixed strategy ({p_opt}, {q_opt}) not in [0, 1]^2")
     return p_opt, q_opt

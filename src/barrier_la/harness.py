@@ -32,7 +32,9 @@ import numpy as np
 
 from .dynamics import FixedPoint, Stability, Trajectory, TrajectoryKind, fixed_points
 from .errors import EmptyTrajectory, NotCase3
-from .game import CaseKind, GameSpec, JointState, Model, classify, pure_equilibria
+from .game import (
+    CaseKind, GameSpec, JointState, Model, classify, mixed_equilibrium, pure_equilibria,
+)
 from .learner import LearnerConfig
 
 # Recorded values (records x 2 players x runs) per advance call, and the
@@ -132,14 +134,9 @@ def steady_state_error(traj: Trajectory, target: JointState) -> float:
     """
     if len(traj) == 0:
         raise EmptyTrajectory("trajectory has no samples")
-    m = _late_mean(traj)
-    return float(math.hypot(m[0] - target.p1, m[1] - target.q1))
-
-
-def _late_mean(traj: Trajectory) -> np.ndarray:
-    """Mean state over the last 10% of the samples (at least one)."""
     k = max(1, math.ceil(0.1 * len(traj)))
-    return traj.x[-k:].mean(axis=0)
+    m = traj.x[-k:].mean(axis=0)
+    return float(math.hypot(m[0] - target.p1, m[1] - target.q1))
 
 
 def error_table(
@@ -151,30 +148,27 @@ def error_table(
 
     Rows follow the input order, p_max outer and theta inner.  All cells
     share the base seed, so differences between cells reflect the
-    parameters rather than the noise stream.  When target is None each
-    cell is scored against the pure-equilibrium corner nearest its own
-    late-time mean, which reports 0.0 when a run absorbs at a corner.
+    parameters rather than the noise stream.  Each cell scores the distance
+    from its late-time mean to the nearest of its candidate targets: target
+    when given, otherwise the game's pure equilibria, or its mixed
+    equilibrium when it has none.  A run that absorbs at a pure corner
+    therefore reports 0.0.
     """
     if not p_max_values or not theta_values:
         raise ValueError("p_max_values and theta_values must be non-empty")
-    if target is None and not pure_equilibria(spec):
-        raise ValueError("target is required for a game with no pure equilibria")
+    if target is not None:
+        targets = [target]
+    else:
+        targets = pure_equilibria(spec) or [JointState(*mixed_equilibrium(spec))]
     start = x0 if x0 is not None else JointState(0.5, 0.5)
     rows = []
     for p_max in p_max_values:
         for theta in theta_values:
             cfg = LearnerConfig(theta=theta, p_max=p_max)
-            c = SimConfig(spec, cfg, cfg, start, steps, seed, record_stride)
-            traj = run_game(c)
-            tgt = target if target is not None else _nearest_corner(spec, traj)
-            rows.append(ErrorTableRow(p_max, theta, steady_state_error(traj, tgt)))
+            traj = run_game(SimConfig(spec, cfg, cfg, start, steps, seed, record_stride))
+            error = min(steady_state_error(traj, t) for t in targets)
+            rows.append(ErrorTableRow(p_max, theta, error))
     return rows
-
-
-def _nearest_corner(spec: GameSpec, traj: Trajectory) -> JointState:
-    m = _late_mean(traj)
-    corners = pure_equilibria(spec)
-    return min(corners, key=lambda c: math.hypot(m[0] - c.p1, m[1] - c.q1))
 
 
 def basin_split(

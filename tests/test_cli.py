@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from barrier_la import JointState, dump_game, preset, vector_field
+from barrier_la import JointState, dump_game, dynamics, mixed_equilibrium, preset, vector_field
 from barrier_la.cli import _build_parser, main
 
 
@@ -51,6 +51,21 @@ class TestClassifyCommand:
         rc, _, err = run_cli(capsys, "classify", "--game", str(path))
         assert rc == 1
         assert "tie" in err or "degenerate" in err.lower()
+
+
+    def test_near_tie_interior_game_reports_its_mixed_point(self, capsys, tmp_path):
+        path = tmp_path / "near_tie.json"
+        path.write_text(json.dumps({
+            "model": "P",
+            "R": [[0.7200111192047169, 0.13290601045995287],
+                  [0.28897610525044326, 0.4831693166218948]],
+            "C": [[0.24372164064158708, 0.24372164064158705],
+                  [0.3464797884927627, 0.9570840322522522]],
+        }))
+        rc, out, _ = run_cli(capsys, "classify", "--game", str(path))
+        assert rc == 0
+        p_opt, q_opt = json.loads(out)["mixed"]
+        assert 0.0 <= p_opt <= 1.0 and 0.0 <= q_opt <= 1.0
 
 
 def test_documented_commands_match_the_parser():
@@ -111,6 +126,25 @@ class TestValidation:
         assert "unrecognized arguments" in err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_parser_is_built_once_and_keeps_no_state_between_calls(self, capsys):
+        assert _build_parser() is _build_parser()
+        first = run_cli(capsys, "classify", "--preset", "case3")
+        assert run_cli(capsys, "classify", "--preset", "case3", "--frobnicate")[0] == 2
+        assert run_cli(capsys, "classify", "--preset", "case3") == first
+
+    def test_out_of_memory_is_validation_error(self, capsys, tmp_path, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 65.5 TiB")
+
+        monkeypatch.setattr(dynamics, "_field", no_memory)
+        out = tmp_path / "f.csv"
+        rc, _, err = run_cli(
+            capsys, "ode-field", "--preset", "case1", "--grid-n", "3", "--out", str(out)
+        )
+        assert rc == 1
+        assert err == "error: Unable to allocate 65.5 TiB\n"
+        assert not out.exists()
+
     def test_unknown_preset_rejected(self, capsys):
         rc, _, _ = run_cli(capsys, "classify", "--preset", "case9")
         assert rc == 2
@@ -166,6 +200,33 @@ class TestSimulateCommands:
             rows = list(csv.DictReader(fh))
         assert [float(r["p_max"]) for r in rows] == [0.99, 0.95]
         assert all(0.0 <= float(r["error"]) <= 1.5 for r in rows)
+
+    def test_error_table_default_target_is_the_mixed_point(self, capsys, tmp_path, case1):
+        p_opt, q_opt = mixed_equilibrium(case1)
+        base = ("error-table", "--preset", "case1", "--pmax-list", "0.99,0.95",
+                "--theta-list", "0.05", "--steps", "1000")
+        untargeted, targeted = tmp_path / "u.csv", tmp_path / "t.csv"
+        assert run_cli(capsys, *base, "--out", str(untargeted))[0] == 0
+        rc, _, _ = run_cli(
+            capsys, *base, "--target-p", repr(p_opt), "--target-q", repr(q_opt),
+            "--out", str(targeted),
+        )
+        assert rc == 0
+        assert untargeted.read_bytes() == targeted.read_bytes()
+
+    def test_error_table_on_a_degenerate_game_is_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            json.dumps({"model": "P", "R": [[0.5, 0.5], [0.5, 0.5]], "C": [[0.1, 0.2], [0.3, 0.4]]})
+        )
+        out = tmp_path / "t.csv"
+        rc, _, err = run_cli(
+            capsys, "error-table", "--game", str(path), "--pmax-list", "0.99",
+            "--theta-list", "0.05", "--steps", "100", "--out", str(out),
+        )
+        assert rc == 1
+        assert "tie" in err
+        assert not out.exists()
 
     def test_basin_split_requires_case3(self, capsys):
         rc, _, err = run_cli(

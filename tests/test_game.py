@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from barrier_la import (
@@ -28,6 +28,10 @@ from barrier_la import harness
 from barrier_la.game import discriminants, dump_game, from_dict, load_game, to_dict
 
 from conftest import random_game
+
+# A valid interior game whose mixed point sits one ulp from the p = 1 edge.
+NEAR_TIE_R = (0.7200111192047169, 0.13290601045995287, 0.28897610525044326, 0.4831693166218948)
+NEAR_TIE_C = (0.24372164064158708, 0.24372164064158705, 0.3464797884927627, 0.9570840322522522)
 
 
 def _drive_gap_a(spec: GameSpec, q1: float) -> float:
@@ -144,6 +148,15 @@ class TestMixedEquilibrium:
         # L = 0 for this game, so the formula degenerates.
         with pytest.raises((NotInSimplex, DegenerateGame)):
             mixed_equilibrium(case2)
+
+    def test_near_tie_game_stays_in_the_simplex(self):
+        # c11 and c12 differ by one ulp; dividing by L' rounded p_opt to
+        # 1.0000000000000002
+        spec = GameSpec(Model.P, PayoffMatrix(*NEAR_TIE_R), PayoffMatrix(*NEAR_TIE_C))
+        assert classify(spec) is CaseKind.TWO_PURE_ONE_MIXED
+        p_opt, q_opt = mixed_equilibrium(spec)
+        assert 0.0 <= p_opt <= 1.0 and 0.0 <= q_opt <= 1.0
+        assert q_opt == pytest.approx(0.4483093040694639, abs=1e-15)
 
     def test_indifference_property_on_random_games(self):
         rng = np.random.default_rng(31415)
@@ -295,6 +308,7 @@ class TestJsonInterface:
     r=st.lists(st.floats(0, 1, allow_nan=False), min_size=4, max_size=4),
     c=st.lists(st.floats(0, 1, allow_nan=False), min_size=4, max_size=4),
 )
+@example(r=list(NEAR_TIE_R), c=list(NEAR_TIE_C))
 def test_report_invariants_on_arbitrary_games(r, c):
     spec = GameSpec(Model.P, PayoffMatrix(*r), PayoffMatrix(*c))
     try:

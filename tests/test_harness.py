@@ -21,6 +21,7 @@ from barrier_la import (
     TrajectoryKind,
     basin_split,
     error_table,
+    mixed_equilibrium,
     per_run_seed,
     run_ensemble,
     run_game,
@@ -242,9 +243,10 @@ class TestErrorTable:
             expected = steady_state_error(run_game(c), JointState(0.6667, 0.3333))
             assert row.error == expected
 
-    def test_default_target_requires_pure_equilibria(self, case1):
-        with pytest.raises(ValueError, match="target"):
-            error_table(case1, None, [0.99], [0.01], steps=10, seed=1)
+    def test_default_target_of_a_mixed_only_game_is_its_mixed_equilibrium(self, case1):
+        args = ([0.99, 0.95], [0.05], 2000, 9)
+        mixed = JointState(*mixed_equilibrium(case1))
+        assert error_table(case1, None, *args) == error_table(case1, mixed, *args)
 
     def test_nearest_corner_target_for_two_equilibria(self, case3):
         rows = error_table(case3, None, [0.99], [0.2], steps=4000, seed=3, record_stride=50)
