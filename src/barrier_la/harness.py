@@ -2,16 +2,19 @@
 
 Reproducibility contract
 ------------------------
-Each run owns one numpy PCG64 generator seeded with ``seed XOR run_index``
-and consumes a fixed number of uniforms per iteration, in a fixed order:
+Each run owns one PCG64 stream, the one ``numpy.random.default_rng(seed XOR
+run_index)`` gives, and consumes a fixed number of uniforms per iteration,
+in a fixed order:
 
     u0: player A action draw        u1: player B action draw
     u2: player A feedback draw      u3: player B feedback draw
 
 P-model games consume all four draws per step, S-model games only the two
 action draws.  One driver, _simulate, advances every run through one C
-kernel, compiled on first use; without a C compiler its Python twin, with
-the same arguments and arithmetic, runs instead after a RuntimeWarning.
+kernel, compiled on first use, which carries its own port of numpy's
+SeedSequence and PCG64.  Without a C compiler, or with one that lacks
+``unsigned __int128``, the kernel's Python twin runs instead after a
+RuntimeWarning: same arguments and arithmetic, on numpy's own generators.
 Results are identical bit for bit on either, and ensembles are reproducible
 independent of execution order.
 """
@@ -203,8 +206,10 @@ def basin_split(
 # rows of one (4, 4) table (feedback A, feedback B, target A, target B) by
 # the joint action x = 2*(u0 >= p) + (u1 >= q) and apply p <- p + f*(t - p),
 # so each run sees the same IEEE-754 operations on the same uniform stream.
-# -ffp-contract=off (never -ffast-math) keeps C from fusing a product into
-# the following sum.
+# The kernel steps its own PCG64 states, seeded by its seed_runs; the twin
+# draws from numpy's PCG64(seed ^ k), so agreement between the two checks
+# the C port against numpy.  -ffp-contract=off (never -ffast-math) keeps C
+# from fusing a product into the following sum.
 # ----------------------------------------------------------------------
 
 
@@ -228,22 +233,21 @@ def _simulate(c: SimConfig, runs: int):
         [fa, fb, (a.p_max, a.p_max, a.p_min, a.p_min), (b.p_max, b.p_min, b.p_max, b.p_min)],
         dtype=np.float64,
     )
-    # the kernel gets raw pointers into these; they stay referenced to the last block
-    gens = [np.random.PCG64(per_run_seed(c.seed, k)) for k in range(runs)]
-    advance = _load_kernel()
-    if advance is None:
-        advance, handles = _advance_py, [np.random.Generator(g) for g in gens]
-    else:
-        ptrs = (_capsule_pointer(g.capsule, b"BitGenerator") for g in gens)
-        handles = (ctypes.c_void_p * runs)(*ptrs)
-    pq = np.empty((2, runs))
+    pq = np.empty((2, runs))  # before any per-run work, so an impossible runs fails at once
     pq[0], pq[1] = c.x0.p1, c.x0.q1
+    kernel = _load_kernel()
+    if kernel is None:
+        advance = _advance_py
+        gens = [np.random.Generator(np.random.PCG64(per_run_seed(c.seed, k))) for k in range(runs)]
+    else:
+        advance, gens = kernel.advance, np.empty((runs, 4), dtype=np.uint64)
+        kernel.seed_runs(runs, c.seed, gens)
     t = _record_steps(c)
     k = max(1, _BLOCK_BUDGET // (2 * runs))
     for i in range(0, len(t), k):
         rec = t[i : i + k]
         block = np.empty((len(rec), 2, runs))
-        advance(runs, handles, pq, int(t[i - 1]) if i else 0, rec, len(rec), ptype, a.theta,
+        advance(runs, gens, pq, int(t[i - 1]) if i else 0, rec, len(rec), ptype, a.theta,
                 b.theta, tab, block)
         yield block
 
@@ -286,34 +290,91 @@ def _advance_py(runs, gens, pq, t, rec, k, ptype, th_a, th_b, tab, out) -> None:
 _KERNEL_C = r"""
 #include <stdint.h>
 
-typedef struct {  /* numpy's bitgen_t; the kernel calls only next_double */
-    void *state, *next_uint64, *next_uint32;
-    double (*next_double)(void *);
-    void *next_raw;
-} bitgen_t;
+typedef unsigned __int128 u128;
+static const u128 MULT = (u128)2549297995355413924u << 64 | 4865540595714422341u;
+
+static uint32_t hashmix(uint32_t v, uint32_t *h)
+{
+    v ^= *h;
+    *h *= 0x931e8875u;
+    v *= *h;
+    return v ^ v >> 16;
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t v = 0xca01f9ddu * x - 0x4973f715u * y;
+    return v ^ v >> 16;
+}
+
+/* Fill st[4r..4r+4) with the state and increment, each as low then high
+   64-bit word, of np.random.PCG64(seed ^ r) once seeded: numpy's
+   SeedSequence with pool size 4 on the entropy seed ^ r (two 32-bit words;
+   numpy omits a zero high word, which hashes as the zero padding does),
+   generate_state(4, uint64), then pcg_setseq_128_srandom_r with words 0, 1
+   as the state's (high, low) and words 2, 3 as the sequence's. */
+void seed_runs(int64_t runs, uint64_t seed, uint64_t *st)
+{
+    for (int64_t r = 0; r < runs; r++) {
+        uint64_t e = seed ^ (uint64_t)r, w[4] = {0};
+        uint32_t h = 0x43b0d7e5u, pool[4] = {(uint32_t)e, (uint32_t)(e >> 32), 0, 0};
+        for (int i = 0; i < 4; i++)
+            pool[i] = hashmix(pool[i], &h);
+        for (int i = 0; i < 4; i++)
+            for (int j = 0; j < 4; j++)
+                if (i != j)
+                    pool[j] = mix(pool[j], hashmix(pool[i], &h));
+        h = 0x8b51f9ddu;
+        for (int i = 0; i < 8; i++) {
+            uint32_t v = pool[i % 4] ^ h;
+            h *= 0x58f38dedu;
+            v *= h;
+            w[i / 2] |= (uint64_t)(v ^ v >> 16) << 32 * (i % 2);
+        }
+        u128 inc = ((u128)w[2] << 64 | w[3]) << 1 | 1;
+        u128 s = (inc + ((u128)w[0] << 64 | w[1])) * MULT + inc;
+        st[4 * r] = (uint64_t)s;
+        st[4 * r + 1] = (uint64_t)(s >> 64);
+        st[4 * r + 2] = (uint64_t)inc;
+        st[4 * r + 3] = (uint64_t)(inc >> 64);
+    }
+}
+
+/* numpy's PCG64 next_double: one LCG step, the XSL-RR output of the new
+   state, its top 53 bits scaled into [0, 1). */
+static inline double next_double(u128 *s, u128 inc)
+{
+    *s = *s * MULT + inc;
+    uint64_t x = (uint64_t)(*s >> 64) ^ (uint64_t)*s;
+    unsigned rot = (unsigned)(*s >> 122);
+    x = x >> rot | x << (-rot & 63);
+    return (x >> 11) * (1.0 / 9007199254740992.0);
+}
 
 /* Advance each run from step t through the steps rec[0..k), storing its
-   state after rec[j] steps at out[j][0][run] and out[j][1][run].  pq holds
-   the (2, runs) states; tab the rows feedback A, feedback B, target A and
-   target B, each indexed by the joint action. */
-void advance(int64_t runs, bitgen_t **gen, double *pq, int64_t t,
+   state after rec[j] steps at out[j][0][run] and out[j][1][run].  st holds
+   the runs' generators as seed_runs lays them out, pq the (2, runs)
+   states; tab the rows feedback A, feedback B, target A and target B, each
+   indexed by the joint action. */
+void advance(int64_t runs, uint64_t *st, double *pq, int64_t t,
              const int64_t *rec, int64_t k, int ptype, double th_a, double th_b,
              const double *tab, double *out)
 {
     const double *fa = tab, *fb = tab + 4, *ta = tab + 8, *tb = tab + 12;
     for (int64_t r = 0; r < runs; r++) {
-        bitgen_t *g = gen[r];
+        uint64_t *g = st + 4 * r;
+        u128 s = (u128)g[1] << 64 | g[0], inc = (u128)g[3] << 64 | g[2];
         double p = pq[r], q = pq[runs + r];
-        int64_t s = t;
+        int64_t n = t;
         for (int64_t j = 0; j < k; j++) {
-            for (; s < rec[j]; s++) {
-                double u0 = g->next_double(g->state);
-                double u1 = g->next_double(g->state);
+            for (; n < rec[j]; n++) {
+                double u0 = next_double(&s, inc);
+                double u1 = next_double(&s, inc);
                 int x = (u0 >= p ? 2 : 0) + (u1 >= q);
                 double f = fa[x], h = fb[x];
                 if (ptype) {
-                    double u2 = g->next_double(g->state);
-                    double u3 = g->next_double(g->state);
+                    double u2 = next_double(&s, inc);
+                    double u3 = next_double(&s, inc);
                     f = u2 < f ? th_a : 0.0;
                     h = u3 < h ? th_b : 0.0;
                 }
@@ -323,23 +384,23 @@ void advance(int64_t runs, bitgen_t **gen, double *pq, int64_t t,
             out[2 * j * runs + r] = p;
             out[(2 * j + 1) * runs + r] = q;
         }
+        g[0] = (uint64_t)s;
+        g[1] = (uint64_t)(s >> 64);
         pq[r] = p;
         pq[runs + r] = q;
     }
 }
 """
 _CC = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
-_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi)
-)
 
 
 @functools.cache
 def _load_kernel():
-    """The kernel's advance function, or None after one RuntimeWarning if it
-    cannot be built.  Cached as $XDG_CACHE_HOME/barrier_la/kernel-<sha256 of
-    compile command and source>.so (default ~/.cache); later processes only
-    load it.  Imports are local so commands without Monte Carlo skip them."""
+    """The kernel library (seed_runs and advance), or None after one
+    RuntimeWarning if it cannot be built.  Cached as
+    $XDG_CACHE_HOME/barrier_la/kernel-<sha256 of compile command and
+    source>.so (default ~/.cache); later processes only load it.  Imports
+    are local so commands without Monte Carlo skip them."""
     import hashlib
     digest = hashlib.sha256((" ".join(_CC) + _KERNEL_C).encode()).hexdigest()
     cache = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "barrier_la")
@@ -357,15 +418,18 @@ def _load_kernel():
                 os.replace(tmp, so)
             finally:
                 tmp.unlink(missing_ok=True)
-        advance = ctypes.CDLL(str(so)).advance
+        kernel = ctypes.CDLL(str(so))
     except OSError as exc:
         warnings.warn(f"C kernel unavailable, using the Python loop: {exc}", RuntimeWarning)
         return None
     i64, f64, i32 = ctypes.c_int64, ctypes.c_double, ctypes.c_int
-    f8, i8 = (np.ctypeslib.ndpointer(d, flags="C_CONTIGUOUS") for d in (np.float64, np.int64))
-    advance.argtypes = [i64, ctypes.c_void_p, f8, i64, i8, i64, i32, f64, f64, f8, f8]
-    advance.restype = None
-    return advance
+    f8, i8, u8 = (
+        np.ctypeslib.ndpointer(d, flags="C_CONTIGUOUS") for d in (np.float64, np.int64, np.uint64)
+    )
+    kernel.seed_runs.argtypes = [i64, ctypes.c_uint64, u8]
+    kernel.advance.argtypes = [i64, u8, f8, i64, i8, i64, i32, f64, f64, f8, f8]
+    kernel.seed_runs.restype = kernel.advance.restype = None
+    return kernel
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from barrier_la import JointState, dump_game, dynamics, mixed_equilibrium, preset, vector_field
+from barrier_la import (
+    JointState, dump_game, dynamics, harness, mixed_equilibrium, preset, vector_field,
+)
 from barrier_la.cli import _build_parser, main
 
 
@@ -143,6 +145,25 @@ class TestValidation:
         )
         assert rc == 1
         assert err == "error: Unable to allocate 65.5 TiB\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "python"])
+    def test_impossible_run_count_fails_before_any_per_run_work(
+        self, capsys, tmp_path, monkeypatch, kernel
+    ):
+        # 2**45 lanes need a 512 TiB state array, beyond the address space,
+        # so the first allocation fails and nothing is allocated
+        if kernel:
+            assert harness._load_kernel() is not None
+        else:
+            monkeypatch.setattr(harness, "_load_kernel", lambda: None)
+        out = tmp_path / "e.csv"
+        rc, _, err = run_cli(
+            capsys, "ensemble", "--preset", "case1", "--steps", "10", "--runs", str(2**45),
+            "--out", str(out),
+        )
+        assert rc == 1
+        assert err.startswith("error: Unable to allocate")
         assert not out.exists()
 
     def test_unknown_preset_rejected(self, capsys):

@@ -191,6 +191,21 @@ class TestRunEnsemble:
         assert per_run_seed(42, 3) == 42 ^ 3
         assert per_run_seed(2**40, 1) == 2**40 + 1
 
+    @pytest.mark.parametrize("seed", [
+        0, 1, 2**32 - 1, 2**32, 2**64 - 1,
+        0x9E3779B97F4A7C15, 0x00000001DEADBEEF, 0xC2B2AE3D27D4EB4F,
+    ])
+    def test_kernel_seeds_each_run_as_numpy_pcg64(self, seed):
+        """seed_runs, the kernel's port of SeedSequence and PCG64 seeding,
+        starts run k in the (state, inc) of np.random.PCG64(seed ^ k), with
+        seed ^ k as one 32-bit word (0 included) or two."""
+        runs = 70
+        st = np.empty((runs, 4), dtype=np.uint64)
+        _load_kernel().seed_runs(runs, seed, st)
+        got = [(s0 | s1 << 64, i0 | i1 << 64) for s0, s1, i0, i1 in st.tolist()]
+        want = [np.random.PCG64(seed ^ k).state["state"] for k in range(runs)]
+        assert got == [(w["state"], w["inc"]) for w in want]
+
     def test_case2_mean_settles_just_inside_the_barriers(self, case2):
         # With a dominant strategy the ensemble parks next to the barrier
         # pair (p_max, p_min) rather than absorbing at the corner (1, 0).
