@@ -93,6 +93,10 @@ class CaseKind(str, Enum):
     TWO_PURE_ONE_MIXED = "TwoPureOneMixed"
 
 
+# The case of a tie-free game, indexed by its number of pure equilibria.
+_CASE_BY_PURE_COUNT = (CaseKind.MIXED_ONLY, CaseKind.SINGLE_PURE, CaseKind.TWO_PURE_ONE_MIXED)
+
+
 @dataclass(frozen=True)
 class EquilibriumReport:
     """Full equilibrium analysis of a game.
@@ -109,18 +113,6 @@ class EquilibriumReport:
     L: float
     L_prime: float
 
-    def __post_init__(self) -> None:
-        n_pure, has_mixed = {
-            CaseKind.MIXED_ONLY: (0, True),
-            CaseKind.SINGLE_PURE: (1, False),
-            CaseKind.TWO_PURE_ONE_MIXED: (2, True),
-        }[self.case_kind]
-        if len(self.pure) != n_pure or (self.mixed is not None) != has_mixed:
-            raise ValueError(
-                f"{self.case_kind.value} report with {len(self.pure)} pure "
-                f"equilibria and mixed={'present' if self.mixed else 'absent'}"
-            )
-
 
 def discriminants(spec: GameSpec) -> tuple[float, float]:
     """Return (L, L_prime), the denominators of the mixed-equilibrium formulas."""
@@ -132,23 +124,13 @@ def discriminants(spec: GameSpec) -> tuple[float, float]:
 
 
 def classify(spec: GameSpec) -> CaseKind:
-    """Classify the game by the sign conditions on its payoff differences.
+    """Classify the game by its number of pure equilibria.
 
-    Raises DegenerateGame if any of the three discriminant products is
-    exactly zero; the taxonomy uses strict inequalities only.
+    Without payoff ties a 2x2 game has 0, 1 or 2 pure equilibria, and the
+    count fixes the case: 0 leaves only the mixed point, 2 come with an
+    unstable mixed point between them.  Raises DegenerateGame on any tie.
     """
-    r11, r12, r21, r22 = spec.R.r11, spec.R.r12, spec.R.r21, spec.R.r22
-    c11, c12, c21, c22 = spec.C.r11, spec.C.r12, spec.C.r21, spec.C.r22
-    dr = (r11 - r21) * (r12 - r22)
-    dc = (c11 - c12) * (c21 - c22)
-    drc = (r11 - r21) * (c11 - c12)
-    if dr == 0.0 or dc == 0.0 or drc == 0.0:
-        raise DegenerateGame("payoff ties make the case classification undefined")
-    if dr > 0.0 or dc > 0.0:
-        return CaseKind.SINGLE_PURE
-    if drc < 0.0:
-        return CaseKind.MIXED_ONLY
-    return CaseKind.TWO_PURE_ONE_MIXED
+    return _CASE_BY_PURE_COUNT[len(pure_equilibria(spec))]
 
 
 def mixed_equilibrium(spec: GameSpec) -> tuple[float, float]:
@@ -176,8 +158,9 @@ def mixed_equilibrium(spec: GameSpec) -> tuple[float, float]:
 def pure_equilibria(spec: GameSpec) -> list[JointState]:
     """Pure equilibria found by strict best-response checks at all 4 corners.
 
-    Deliberately brute force, so it doubles as an independent oracle for
-    classify().  A payoff tie at any corner raises DegenerateGame.
+    A corner is returned as a joint state: action 1 maps to probability 1.
+    Entries are compared, never multiplied, so tiny gaps cannot underflow
+    into a false tie.  A payoff tie at any corner raises DegenerateGame.
     """
     R, C = spec.R, spec.C
     out = []
@@ -188,19 +171,14 @@ def pure_equilibria(spec: GameSpec) -> list[JointState]:
             if ra == ra_alt or cb == cb_alt:
                 raise DegenerateGame(f"payoff tie at corner ({a}, {b})")
             if ra > ra_alt and cb > cb_alt:
-                out.append(corner_state(a, b))
+                out.append(JointState(float(a == 1), float(b == 1)))
     return out
-
-
-def corner_state(a: int, b: int) -> JointState:
-    """Corner joint state for the pure actions a, b in {1, 2}: action 1 maps to probability 1."""
-    return JointState(1.0 if a == 1 else 0.0, 1.0 if b == 1 else 0.0)
 
 
 def equilibrium_report(spec: GameSpec) -> EquilibriumReport:
     """Classification plus pure and mixed equilibria in one report."""
-    kind = classify(spec)
     pure = tuple(pure_equilibria(spec))
+    kind = _CASE_BY_PURE_COUNT[len(pure)]
     mixed = mixed_equilibrium(spec) if kind is not CaseKind.SINGLE_PURE else None
     L, L_prime = discriminants(spec)
     return EquilibriumReport(kind, pure, mixed, L, L_prime)

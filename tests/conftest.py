@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from barrier_la import DriftValue, GameSpec, Model, PayoffMatrix, preset
+from barrier_la import CaseKind, DriftValue, GameSpec, Model, PayoffMatrix, preset
 
 
 @pytest.fixture
@@ -32,6 +32,28 @@ def random_game(rng: np.random.Generator) -> GameSpec:
     r = rng.random(4)
     c = rng.random(4)
     return GameSpec(Model.P, PayoffMatrix(*r), PayoffMatrix(*c))
+
+
+def sign_case_oracle(spec: GameSpec):
+    """The case by the paper's sign conditions on the payoff gaps, or None on a tie.
+
+    A has a dominant action when r11 - r21 and r12 - r22 share a sign, and B
+    when c11 - c12 and c21 - c22 do; either gives a single pure equilibrium.
+    Otherwise the best responses cycle (MixedOnly) when r11 - r21 and
+    c11 - c12 differ in sign, and coordinate (TwoPureOneMixed) when they
+    share it.  Signs are compared rather than multiplied, so gaps near 1e-200
+    or subnormal keep their case.
+    """
+    R, C = spec.R, spec.C
+    ga, ga_alt = R.r11 - R.r21, R.r12 - R.r22
+    gb, gb_alt = C.r11 - C.r12, C.r21 - C.r22
+    if 0.0 in (ga, ga_alt, gb, gb_alt):
+        return None
+    if (ga > 0) == (ga_alt > 0) or (gb > 0) == (gb_alt > 0):
+        return CaseKind.SINGLE_PURE
+    if (ga > 0) != (gb > 0):
+        return CaseKind.MIXED_ONLY
+    return CaseKind.TWO_PURE_ONE_MIXED
 
 
 def lri_step(p1: float, chosen: int, feedback: float, cfg) -> float:

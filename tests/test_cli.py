@@ -54,6 +54,29 @@ class TestClassifyCommand:
         assert rc == 1
         assert "tie" in err or "degenerate" in err.lower()
 
+    def test_tiny_payoff_gaps_are_not_a_tie(self, capsys, tmp_path):
+        # A's first action is strictly dominant by 1e-200; a product of two
+        # such gaps underflows to 0, a comparison of entries does not
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(
+            {"model": "P", "R": [[1e-200, 1e-200], [0, 0]], "C": [[0.4, 0.25], [0.3, 0.6]]}
+        ))
+        rc, out, _ = run_cli(capsys, "classify", "--game", str(path))
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["case"] == "SinglePure"
+        assert payload["pure"] == [[1.0, 1.0]]
+
+    def test_coordination_game_with_tiny_gaps(self, capsys, tmp_path):
+        path = tmp_path / "tiny_coordination.json"
+        tiny = [[1e-200, 0], [0, 1e-200]]
+        path.write_text(json.dumps({"model": "P", "R": tiny, "C": tiny}))
+        rc, out, _ = run_cli(capsys, "classify", "--game", str(path))
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["case"] == "TwoPureOneMixed"
+        assert payload["pure"] == [[1.0, 1.0], [0.0, 0.0]]
+        assert payload["mixed"] == [0.5, 0.5]
 
     def test_near_tie_interior_game_reports_its_mixed_point(self, capsys, tmp_path):
         path = tmp_path / "near_tie.json"

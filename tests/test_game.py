@@ -27,11 +27,15 @@ from barrier_la import (
 from barrier_la import harness
 from barrier_la.game import discriminants, dump_game, from_dict, load_game, to_dict
 
-from conftest import random_game
+from conftest import random_game, sign_case_oracle
 
 # A valid interior game whose mixed point sits one ulp from the p = 1 edge.
 NEAR_TIE_R = (0.7200111192047169, 0.13290601045995287, 0.28897610525044326, 0.4831693166218948)
 NEAR_TIE_C = (0.24372164064158708, 0.24372164064158705, 0.3464797884927627, 0.9570840322522522)
+
+# Entries whose gaps are subnormal or near 1e-200, mixed with plain ones: the
+# products of two such gaps underflow to 0.
+TINY_AND_PLAIN = (0.0, 5e-324, 1e-323, 1e-300, 1e-200, 2e-200, 1e-160, 0.25, 0.5, 0.75, 1.0)
 
 
 def _drive_gap_a(spec: GameSpec, q1: float) -> float:
@@ -107,21 +111,25 @@ class TestClassify:
             classify(spec)
 
     def test_agrees_with_pure_equilibrium_count(self):
+        # classify counts pure equilibria; the oracle applies the paper's sign
+        # conditions.  Each random game is also checked scaled to gaps near
+        # 1e-200, next to a game drawn from TINY_AND_PLAIN.
         rng = np.random.default_rng(2718)
-        expected = {
-            CaseKind.MIXED_ONLY: 0,
-            CaseKind.SINGLE_PURE: 1,
-            CaseKind.TWO_PURE_ONE_MIXED: 2,
-        }
-        checked = 0
-        while checked < 500:
+        for _ in range(500):
             spec = random_game(rng)
-            try:
-                kind = classify(spec)
-            except DegenerateGame:
-                continue
-            assert len(pure_equilibria(spec)) == expected[kind]
-            checked += 1
+            r, c = spec.R.as_array().ravel(), spec.C.as_array().ravel()
+            t = rng.choice(TINY_AND_PLAIN, 8)
+            for game in (
+                spec,
+                GameSpec(Model.P, PayoffMatrix(*r * 1e-200), PayoffMatrix(*c * 1e-200)),
+                GameSpec(Model.P, PayoffMatrix(*t[:4]), PayoffMatrix(*t[4:])),
+            ):
+                want = sign_case_oracle(game)
+                if want is None:
+                    with pytest.raises(DegenerateGame):
+                        classify(game)
+                else:
+                    assert classify(game) is want
 
 
 class TestMixedEquilibrium:
@@ -309,12 +317,16 @@ class TestJsonInterface:
     c=st.lists(st.floats(0, 1, allow_nan=False), min_size=4, max_size=4),
 )
 @example(r=list(NEAR_TIE_R), c=list(NEAR_TIE_C))
+@example(r=[1e-200, 0.0, 0.0, 1e-200], c=[1e-200, 0.0, 0.0, 1e-200])  # gap products underflow
 def test_report_invariants_on_arbitrary_games(r, c):
     spec = GameSpec(Model.P, PayoffMatrix(*r), PayoffMatrix(*c))
-    try:
-        report = equilibrium_report(spec)
-    except DegenerateGame:
+    want = sign_case_oracle(spec)
+    if want is None:
+        with pytest.raises(DegenerateGame):
+            equilibrium_report(spec)
         return
+    report = equilibrium_report(spec)
+    assert report.case_kind is want
     if report.case_kind is CaseKind.MIXED_ONLY:
         assert report.pure == () and report.mixed is not None
     elif report.case_kind is CaseKind.SINGLE_PURE:
