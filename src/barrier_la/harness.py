@@ -12,11 +12,9 @@ in a fixed order:
 P-model games consume all four draws per step, S-model games only the two
 action draws.  One driver, _simulate, advances every run through one C
 kernel, compiled on first use, which carries its own port of numpy's
-SeedSequence and PCG64.  Without a C compiler, or with one that lacks
-``unsigned __int128``, the kernel's Python twin runs instead after a
-RuntimeWarning: same arguments and arithmetic, on numpy's own generators.
-Results are identical bit for bit on either, and ensembles are reproducible
-independent of execution order.
+SeedSequence and PCG64.  Simulating requires a C compiler with ``unsigned
+__int128`` (gcc or clang); without one, _load_kernel raises OSError.
+Ensembles are reproducible independent of execution order.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ import functools
 import math
 import os
 import threading
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -40,9 +37,9 @@ from .game import (
 )
 from .learner import LearnerConfig
 
-# Recorded values (records x 2 players x runs) per advance call, and the
-# uniforms per draw buffer of the Python twin.  Block boundaries never affect
-# results: each run's state and stream carry over.
+# Recorded values (records x 2 players x runs) per advance call, and rows
+# per CSV write.  Block boundaries never affect results: each run's state
+# and stream carry over.
 _BLOCK_BUDGET = 1 << 18
 
 
@@ -200,16 +197,14 @@ def basin_split(
 
 
 # ----------------------------------------------------------------------
-# Engine internals.  _simulate drives every run through advance(), which is
-# the C kernel or, without a compiler, its Python twin _advance_py: same
-# arguments, same loops, the same (records, 2, runs) blocks.  Both index the
-# rows of one (4, 4) table (feedback A, feedback B, target A, target B) by
-# the joint action x = 2*(u0 >= p) + (u1 >= q) and apply p <- p + f*(t - p),
-# so each run sees the same IEEE-754 operations on the same uniform stream.
-# The kernel steps its own PCG64 states, seeded by its seed_runs; the twin
-# draws from numpy's PCG64(seed ^ k), so agreement between the two checks
-# the C port against numpy.  -ffp-contract=off (never -ffast-math) keeps C
-# from fusing a product into the following sum.
+# Engine internals.  _simulate seeds every run with the C kernel's seed_runs,
+# a port of numpy's PCG64(seed ^ k) seeding, and drives them through its
+# advance() one (records, 2, runs) block at a time.  advance indexes the rows
+# of one (4, 4) table (feedback A, feedback B, target A, target B) by the
+# joint action x = 2*(u0 >= p) + (u1 >= q) and applies p <- p + f*(t - p),
+# the same IEEE-754 operations as the tests' one-draw-at-a-time reference
+# loop on numpy's own generator.  -ffp-contract=off (never -ffast-math)
+# keeps C from fusing a product into the following sum.
 # ----------------------------------------------------------------------
 
 
@@ -236,55 +231,16 @@ def _simulate(c: SimConfig, runs: int):
     pq = np.empty((2, runs))  # before any per-run work, so an impossible runs fails at once
     pq[0], pq[1] = c.x0.p1, c.x0.q1
     kernel = _load_kernel()
-    if kernel is None:
-        advance = _advance_py
-        gens = [np.random.Generator(np.random.PCG64(per_run_seed(c.seed, k))) for k in range(runs)]
-    else:
-        advance, gens = kernel.advance, np.empty((runs, 4), dtype=np.uint64)
-        kernel.seed_runs(runs, c.seed, gens)
+    st = np.empty((runs, 4), dtype=np.uint64)
+    kernel.seed_runs(runs, c.seed, st)
     t = _record_steps(c)
     k = max(1, _BLOCK_BUDGET // (2 * runs))
     for i in range(0, len(t), k):
         rec = t[i : i + k]
         block = np.empty((len(rec), 2, runs))
-        advance(runs, gens, pq, int(t[i - 1]) if i else 0, rec, len(rec), ptype, a.theta,
-                b.theta, tab, block)
+        kernel.advance(runs, st, pq, int(t[i - 1]) if i else 0, rec, len(rec), ptype, a.theta,
+                       b.theta, tab, block)
         yield block
-
-
-def _advance_py(runs, gens, pq, t, rec, k, ptype, th_a, th_b, tab, out) -> None:
-    """The C kernel's twin in Python, for gens[r] a numpy Generator on run
-    r's PCG64.  Draws up to _BLOCK_BUDGET uniforms per buffer, never past rec[k-1]."""
-    fa, fb, ta, tb = tab.tolist()
-    draws = 4 if ptype else 2
-    chunk = max(1, _BLOCK_BUDGET // draws)
-    stops = [*rec[:k].tolist(), -1]  # -1 once every record is stored
-    end = stops[k - 1]
-    for r in range(runs):
-        g = gens[r]
-        p, q = pq[:, r].tolist()
-        s, i, ps, qs = t, 0, [], []
-        if stops[0] == s:  # step 0, recorded before any draw
-            i, ps, qs = 1, [p], [q]
-        while s < end:
-            n = min(chunk, end - s)
-            u = g.random(draws * n).tolist()
-            for j in range(0, draws * n, draws):
-                x = (2 if u[j] >= p else 0) + (u[j + 1] >= q)
-                if ptype:
-                    f = th_a if u[j + 2] < fa[x] else 0.0
-                    h = th_b if u[j + 3] < fb[x] else 0.0
-                else:
-                    f, h = fa[x], fb[x]
-                p = p + f * (ta[x] - p)
-                q = q + h * (tb[x] - q)
-                s += 1
-                if s == stops[i]:
-                    ps.append(p)
-                    qs.append(q)
-                    i += 1
-        out[:, 0, r], out[:, 1, r] = ps, qs
-        pq[0, r], pq[1, r] = p, q
 
 
 _KERNEL_C = r"""
@@ -396,11 +352,12 @@ _CC = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 @functools.cache
 def _load_kernel():
-    """The kernel library (seed_runs and advance), or None after one
-    RuntimeWarning if it cannot be built.  Cached as
+    """The kernel library (seed_runs and advance).  Cached as
     $XDG_CACHE_HOME/barrier_la/kernel-<sha256 of compile command and
-    source>.so (default ~/.cache); later processes only load it.  Imports
-    are local so commands without Monte Carlo skip them."""
+    source>.so (default ~/.cache); later processes only load it.  Raises
+    OSError naming the compile command, the cache path and the cause when
+    it can be neither built nor loaded.  Imports are local so commands
+    without Monte Carlo skip them."""
     import hashlib
     digest = hashlib.sha256((" ".join(_CC) + _KERNEL_C).encode()).hexdigest()
     cache = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "barrier_la")
@@ -420,8 +377,8 @@ def _load_kernel():
                 tmp.unlink(missing_ok=True)
         kernel = ctypes.CDLL(str(so))
     except OSError as exc:
-        warnings.warn(f"C kernel unavailable, using the Python loop: {exc}", RuntimeWarning)
-        return None
+        cc = " ".join(_CC)
+        raise OSError(f"cannot build or load the C kernel with {cc} into {so}: {exc}") from exc
     i64, f64, i32 = ctypes.c_int64, ctypes.c_double, ctypes.c_int
     f8, i8, u8 = (
         np.ctypeslib.ndpointer(d, flags="C_CONTIGUOUS") for d in (np.float64, np.int64, np.uint64)
@@ -444,7 +401,9 @@ def _write_csv(path: str | Path, header: str, *columns: np.ndarray) -> None:
     row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        fh.writelines(row % v for v in zip(*(c.tolist() for c in columns)))
+        for i in range(0, len(columns[0]), _BLOCK_BUDGET):  # bounds the formatted lists
+            chunk = (c[i : i + _BLOCK_BUDGET].tolist() for c in columns)
+            fh.writelines(row % v for v in zip(*chunk))
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:

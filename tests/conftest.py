@@ -5,6 +5,23 @@ import numpy as np
 import pytest
 
 from barrier_la import CaseKind, DriftValue, GameSpec, Model, PayoffMatrix, preset
+from barrier_la.harness import _load_kernel
+
+
+@pytest.fixture
+def fresh_loader():
+    """Forget the loaded kernel before and after the test."""
+    _load_kernel.cache_clear()
+    yield
+    _load_kernel.cache_clear()
+
+
+@pytest.fixture
+def no_compiler(tmp_path, monkeypatch, fresh_loader):
+    """No cached kernel and no cc to build one; returns the cache directory."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setenv("PATH", "")
+    return tmp_path / "barrier_la"
 
 
 @pytest.fixture

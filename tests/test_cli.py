@@ -170,16 +170,10 @@ class TestValidation:
         assert err == "error: Unable to allocate 65.5 TiB\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "python"])
-    def test_impossible_run_count_fails_before_any_per_run_work(
-        self, capsys, tmp_path, monkeypatch, kernel
-    ):
+    def test_impossible_run_count_fails_before_any_per_run_work(self, capsys, tmp_path):
         # 2**45 lanes need a 512 TiB state array, beyond the address space,
         # so the first allocation fails and nothing is allocated
-        if kernel:
-            assert harness._load_kernel() is not None
-        else:
-            monkeypatch.setattr(harness, "_load_kernel", lambda: None)
+        harness._load_kernel()  # built, so only that allocation can fail
         out = tmp_path / "e.csv"
         rc, _, err = run_cli(
             capsys, "ensemble", "--preset", "case1", "--steps", "10", "--runs", str(2**45),
@@ -187,6 +181,15 @@ class TestValidation:
         )
         assert rc == 1
         assert err.startswith("error: Unable to allocate")
+        assert not out.exists()
+
+    def test_without_a_compiler_simulate_exits_1_naming_it(self, capsys, tmp_path, no_compiler):
+        out = tmp_path / "x.csv"
+        rc, _, err = run_cli(
+            capsys, "simulate", "--preset", "case1", "--steps", "10", "--out", str(out)
+        )
+        assert rc == 1
+        assert "cc -O2" in err and str(no_compiler) in err
         assert not out.exists()
 
     def test_unknown_preset_rejected(self, capsys):
