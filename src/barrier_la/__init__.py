@@ -21,7 +21,6 @@ from .dynamics import (
 )
 from .errors import (
     DegenerateGame,
-    EmptyTrajectory,
     NotCase3,
     NotInSimplex,
     StepTooLarge,
@@ -48,7 +47,6 @@ from .harness import (
     SimConfig,
     basin_split,
     error_table,
-    per_run_seed,
     run_ensemble,
     run_game,
     steady_state_error,

@@ -18,7 +18,7 @@ import numpy as np
 from . import dynamics, game, harness
 from .errors import StepTooLarge
 from .game import GameSpec, JointState, Model
-from .learner import LearnerConfig
+from .learner import LearnerConfig, _check_p_max
 
 
 def main(argv=None) -> int:
@@ -180,7 +180,7 @@ def _cmd_basin_split(args, spec: GameSpec) -> int:
 def _cmd_ode_field(args, spec: GameSpec) -> int:
     if args.grid_n < 2:
         raise ValueError("grid-n must be >= 2")
-    dynamics._check_p_max(args.pmax)
+    _check_p_max(args.pmax)
     grid = np.linspace(0.0, 1.0, args.grid_n)
     p1, q1 = (g.ravel() for g in np.meshgrid(grid, grid, indexing="ij"))
     w1, w2 = dynamics._field(spec, p1, q1, args.pmax)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DegenerateGame, StepTooLarge
 from .game import GameSpec, JointState
+from .learner import _check_p_max
 
 DRIFT_STOP_TOL = 1e-10
 NEWTON_DRIFT_TOL = 1e-12
@@ -75,20 +76,18 @@ class TrajectoryKind(str, Enum):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered samples (t, x) of an integrated, simulated or averaged path."""
+    """Ordered samples (t, x), n >= 1, of an integrated, simulated or averaged path."""
 
     kind: TrajectoryKind
     t: np.ndarray
     x: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.t.ndim != 1 or self.x.shape != (self.t.shape[0], 2):
-            raise ValueError("trajectory arrays must have shapes (n,) and (n, 2)")
-        if len(self.t) > 1 and not np.all(np.diff(self.t) > 0):
+        if self.t.ndim != 1 or len(self.t) == 0 or self.x.shape != (len(self.t), 2):
+            raise ValueError("trajectory arrays must have shapes (n,) and (n, 2) with n >= 1")
+        if not np.all(np.diff(self.t) > 0):
             raise ValueError("trajectory times must be strictly increasing")
-        if len(self.x) and not (
-            self.x.min() >= -STATE_TOL and self.x.max() <= 1.0 + STATE_TOL
-        ):
+        if not (self.x.min() >= -STATE_TOL and self.x.max() <= 1.0 + STATE_TOL):
             raise ValueError("trajectory states must lie in [0, 1]^2")
 
     def __len__(self) -> int:
@@ -307,8 +306,3 @@ def _newton(
         if not (-1.0 <= p1 <= 2.0 and -1.0 <= q1 <= 2.0):
             return None
     return None
-
-
-def _check_p_max(p_max: float) -> None:
-    if not 0.5 < p_max <= 1.0:
-        raise ValueError("p_max must be in (0.5, 1]")

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-All validation-style failures derive from ValueError so the CLI can map
-them to exit code 1; numerical failures map to exit code 2.
+Validation failures are ValueError, plain or one of the classes below, and
+the CLI maps them to exit code 1; numerical failures map to exit code 2.
 """
 
 
@@ -11,10 +11,6 @@ class DegenerateGame(ValueError):
 
 class NotInSimplex(ValueError):
     """A computed mixed-strategy coordinate fell outside [0, 1]."""
-
-
-class EmptyTrajectory(ValueError):
-    """Trajectory contains no samples."""
 
 
 class NotCase3(ValueError):

@@ -24,22 +24,22 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .dynamics import FixedPoint, Stability, Trajectory, TrajectoryKind, fixed_points
-from .errors import EmptyTrajectory, NotCase3
+from .errors import NotCase3
 from .game import (
     CaseKind, GameSpec, JointState, Model, classify, mixed_equilibrium, pure_equilibria,
 )
 from .learner import LearnerConfig
 
-# Recorded values (records x 2 players x runs) per advance call, and rows
-# per CSV write.  Block boundaries never affect results: each run's state
-# and stream carry over.
+# Values per advance call (records x 2 x runs, at most max(_BLOCK_BUDGET,
+# 2 * runs) as a block holds one record or more) and rows per CSV write.
+# Block boundaries never affect results: run state and stream carry over.
 _BLOCK_BUDGET = 1 << 18
 
 
@@ -91,11 +91,6 @@ class BasinSplit:
     runs: int
 
 
-def per_run_seed(seed: int, run_index: int) -> int:
-    """Seed for one ensemble replica: base seed XOR run index."""
-    return seed ^ run_index
-
-
 def run_game(c: SimConfig) -> Trajectory:
     """Simulate one game and return the recorded (step, state) sequence.
 
@@ -120,10 +115,11 @@ def run_ensemble(c: SimConfig, runs: int) -> Trajectory:
 
 
 def terminal_states(c: SimConfig, runs: int) -> np.ndarray:
-    """Final (p1, q1) of each replica, shape (runs, 2)."""
-    for block in _simulate(c, runs):
+    """Final (p1, q1) of each replica, shape (runs, 2).  Records only step 0
+    and the final step, so c.record_stride does not affect the result."""
+    for block in _simulate(replace(c, record_stride=max(1, c.steps)), runs):
         pass
-    return block[-1].T.copy()  # the final step is always recorded
+    return block[-1].T.copy()
 
 
 def steady_state_error(traj: Trajectory, target: JointState) -> float:
@@ -132,8 +128,6 @@ def steady_state_error(traj: Trajectory, target: JointState) -> float:
     The mean is taken over the last 10% of the recorded samples (at least
     one sample).
     """
-    if len(traj) == 0:
-        raise EmptyTrajectory("trajectory has no samples")
     k = max(1, math.ceil(0.1 * len(traj)))
     m = traj.x[-k:].mean(axis=0)
     return float(math.hypot(m[0] - target.p1, m[1] - target.q1))
@@ -142,7 +136,7 @@ def steady_state_error(traj: Trajectory, target: JointState) -> float:
 def error_table(
     spec: GameSpec, target: Optional[JointState], p_max_values: Sequence[float],
     theta_values: Sequence[float], steps: int, seed: int,
-    x0: Optional[JointState] = None, record_stride: int = 100,
+    x0: JointState = JointState(0.5, 0.5), record_stride: int = 100,
 ) -> list[ErrorTableRow]:
     """One single-run steady-state error per (p_max, theta) cell.
 
@@ -160,12 +154,11 @@ def error_table(
         targets = [target]
     else:
         targets = pure_equilibria(spec) or [JointState(*mixed_equilibrium(spec))]
-    start = x0 if x0 is not None else JointState(0.5, 0.5)
     rows = []
     for p_max in p_max_values:
         for theta in theta_values:
             cfg = LearnerConfig(theta=theta, p_max=p_max)
-            traj = run_game(SimConfig(spec, cfg, cfg, start, steps, seed, record_stride))
+            traj = run_game(SimConfig(spec, cfg, cfg, x0, steps, seed, record_stride))
             error = min(steady_state_error(traj, t) for t in targets)
             rows.append(ErrorTableRow(p_max, theta, error))
     return rows
@@ -184,8 +177,7 @@ def basin_split(
     stable = [fp for fp in fixed_points(spec, cfg.p_max) if fp.stability is Stability.STABLE]
     if not stable:
         raise NotCase3("no stable fixed points found")
-    c = SimConfig(spec, cfg, cfg, x0, steps, seed, record_stride=max(1, steps or 1))
-    term = terminal_states(c, runs)
+    term = terminal_states(SimConfig(spec, cfg, cfg, x0, steps, seed), runs)
     centers = np.array([[fp.x.p1, fp.x.q1] for fp in stable])
     d = np.hypot(
         term[:, 0:1] - centers[None, :, 0], term[:, 1:2] - centers[None, :, 1]

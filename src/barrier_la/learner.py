@@ -26,6 +26,10 @@ class LearnerConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must be in (0,1)")
-        if not 0.5 < self.p_max <= 1.0:
-            raise ValueError("p_max must be in (0.5, 1]")
+        _check_p_max(self.p_max)
         object.__setattr__(self, "p_min", 1.0 - self.p_max)
+
+
+def _check_p_max(p_max: float) -> None:
+    if not 0.5 < p_max <= 1.0:
+        raise ValueError("p_max must be in (0.5, 1]")

@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from barrier_la import (
-    EmptyTrajectory,
     GameSpec,
     JointState,
     LearnerConfig,
@@ -23,7 +22,6 @@ from barrier_la import (
     basin_split,
     error_table,
     mixed_equilibrium,
-    per_run_seed,
     run_ensemble,
     run_game,
     steady_state_error,
@@ -143,7 +141,7 @@ class TestRunEnsemble:
         ens = run_ensemble(c, runs)
         per_run = []
         for k in range(runs):
-            ck = make_config(case1, steps=200, stride=100, seed=per_run_seed(c.seed, k))
+            ck = make_config(case1, steps=200, stride=100, seed=c.seed ^ k)
             per_run.append(run_game(ck).x)
         assert ens.x == pytest.approx(np.mean(per_run, axis=0), abs=1e-15)
 
@@ -156,10 +154,23 @@ class TestRunEnsemble:
         # and the spiral has settled in the mixed-equilibrium neighborhood
         assert math.hypot(m1[0] - 0.6667, m1[1] - 0.3333) < 0.05
 
-    def test_per_run_seed_is_xor(self):
-        assert per_run_seed(42, 0) == 42
-        assert per_run_seed(42, 3) == 42 ^ 3
-        assert per_run_seed(2**40, 1) == 2**40 + 1
+    def test_terminal_states_record_only_the_final_step(self, case1, monkeypatch):
+        """terminal_states simulates at record_stride = steps, whatever the
+        config's stride, so strides 1, 7 and steps give the same bytes, also
+        with step 0 and the final step in separate kernel calls."""
+        seen = []
+
+        def spy(c, runs):
+            seen.append(c.record_stride)
+            return _simulate(c, runs)
+
+        monkeypatch.setattr(harness, "_simulate", spy)
+        got = [terminal_states(make_config(case1, steps=500, stride=s), 9).tobytes()
+               for s in (1, 7, 500)]
+        monkeypatch.setattr(harness, "_BLOCK_BUDGET", 2)  # one record per kernel call
+        got.append(terminal_states(make_config(case1, steps=500, stride=1), 9).tobytes())
+        assert got == [got[0]] * 4
+        assert seen == [500] * 4
 
     @pytest.mark.parametrize("seed", [
         0, 1, 2**32 - 1, 2**32, 2**64 - 1,
@@ -206,9 +217,8 @@ class TestSteadyStateError:
         assert steady_state_error(traj, JointState(0.6, 0.6)) == pytest.approx(0.0)
 
     def test_empty_trajectory_rejected(self):
-        traj = Trajectory(TrajectoryKind.SIMULATED, np.array([]), np.empty((0, 2)))
-        with pytest.raises(EmptyTrajectory):
-            steady_state_error(traj, JointState(0.5, 0.5))
+        with pytest.raises(ValueError, match="n >= 1"):
+            Trajectory(TrajectoryKind.SIMULATED, np.array([]), np.empty((0, 2)))
 
 
 class TestErrorTable:
@@ -227,6 +237,10 @@ class TestErrorTable:
             c = SimConfig(case1, cfg, cfg, JointState(0.5, 0.5), 2000, 9, 50)
             expected = steady_state_error(run_game(c), JointState(0.6667, 0.3333))
             assert row.error == expected
+        assert rows == error_table(
+            case1, JointState(0.6667, 0.3333), p_max_values, theta_values,
+            steps=2000, seed=9, x0=JointState(0.5, 0.5), record_stride=50,
+        )
 
     def test_default_target_of_a_mixed_only_game_is_its_mixed_equilibrium(self, case1):
         args = ([0.99, 0.95], [0.05], 2000, 9)
