@@ -14,7 +14,10 @@ action draws.  One driver, _simulate, advances every run through one C
 kernel, compiled on first use, which carries its own port of numpy's
 SeedSequence and PCG64.  Simulating requires a C compiler with ``unsigned
 __int128`` (gcc or clang); without one, _load_kernel raises OSError.
-Ensembles are reproducible independent of execution order.
+_simulate splits the runs of each block into one contiguous slice per
+usable core and advances the slices on threads at once.  Since each run
+owns its stream and its output slots, results do not depend on the thread
+count or on execution order.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ from .learner import LearnerConfig
 # 2 * runs) as a block holds one record or more) and rows per CSV write.
 # Block boundaries never affect results: run state and stream carry over.
 _BLOCK_BUDGET = 1 << 18
+# Run-steps below which a block runs on the caller's thread alone: starting a
+# thread costs about 0.15 ms, several thousand run-steps of the kernel.
+_WORK_FLOOR = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -196,7 +202,11 @@ def basin_split(
 # joint action x = 2*(u0 >= p) + (u1 >= q) and applies p <- p + f*(t - p),
 # the same IEEE-754 operations as the tests' one-draw-at-a-time reference
 # loop on numpy's own generator.  -ffp-contract=off (never -ffast-math)
-# keeps C from fusing a product into the following sum.
+# keeps C from fusing a product into the following sum.  Each block's runs
+# are cut into one contiguous slice per usable core, and the slices' advance
+# calls run on threads at once, as ctypes releases the GIL.  A call touches
+# only its own runs' state and slots, so any thread count gives the same
+# bytes.  Seeding, the ensemble mean and the CSV write stay on one thread.
 # ----------------------------------------------------------------------
 
 
@@ -227,12 +237,46 @@ def _simulate(c: SimConfig, runs: int):
     kernel.seed_runs(runs, c.seed, st)
     t = _record_steps(c)
     k = max(1, _BLOCK_BUDGET // (2 * runs))
+    cores = min(runs, len(os.sched_getaffinity(0)))
     for i in range(0, len(t), k):
         rec = t[i : i + k]
+        t0 = int(t[i - 1]) if i else 0
         block = np.empty((len(rec), 2, runs))
-        kernel.advance(runs, st, pq, int(t[i - 1]) if i else 0, rec, len(rec), ptype, a.theta,
-                       b.theta, tab, block)
+
+        def advance(r0: int, r1: int) -> None:
+            kernel.advance(runs, r0, r1, st, pq, t0, rec, len(rec), ptype, a.theta, b.theta,
+                           tab, block)
+
+        n = cores if runs * (int(rec[-1]) - t0) >= _WORK_FLOOR else 1
+        _in_slices(advance, [runs * j // n for j in range(n + 1)])
         yield block
+
+
+def _in_slices(advance, cuts: list[int]) -> None:
+    """Call advance(cuts[j], cuts[j + 1]) for every slice j: slice 0 on this
+    thread, each other slice on a thread of its own.  Every worker is joined
+    before this returns or raises, and an exception in any slice is raised
+    here, so a block is never left part-written."""
+    errors: list[BaseException] = []
+
+    def work(r0: int, r1: int) -> None:
+        try:
+            advance(r0, r1)
+        except BaseException as exc:  # raised again on the caller's thread below
+            errors.append(exc)
+
+    workers = []
+    try:
+        for r0, r1 in zip(cuts[1:-1], cuts[2:]):
+            worker = threading.Thread(target=work, args=(r0, r1))
+            worker.start()
+            workers.append(worker)
+        advance(cuts[0], cuts[1])
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
 
 
 _KERNEL_C = r"""
@@ -299,17 +343,18 @@ static inline double next_double(u128 *s, u128 inc)
     return (x >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/* Advance each run from step t through the steps rec[0..k), storing its
-   state after rec[j] steps at out[j][0][run] and out[j][1][run].  st holds
-   the runs' generators as seed_runs lays them out, pq the (2, runs)
+/* Advance each run r in [r0, r1) from step t through the steps rec[0..k),
+   storing its state after rec[j] steps at out[j][0][r] and out[j][1][r].
+   st holds the runs' generators as seed_runs lays them out, pq the (2, runs)
    states; tab the rows feedback A, feedback B, target A and target B, each
-   indexed by the joint action. */
-void advance(int64_t runs, uint64_t *st, double *pq, int64_t t,
+   indexed by the joint action.  A call reads and writes only the slots of
+   its own runs, so calls on disjoint ranges may run at the same time. */
+void advance(int64_t runs, int64_t r0, int64_t r1, uint64_t *st, double *pq, int64_t t,
              const int64_t *rec, int64_t k, int ptype, double th_a, double th_b,
              const double *tab, double *out)
 {
     const double *fa = tab, *fb = tab + 4, *ta = tab + 8, *tb = tab + 12;
-    for (int64_t r = 0; r < runs; r++) {
+    for (int64_t r = r0; r < r1; r++) {
         uint64_t *g = st + 4 * r;
         u128 s = (u128)g[1] << 64 | g[0], inc = (u128)g[3] << 64 | g[2];
         double p = pq[r], q = pq[runs + r];
@@ -376,7 +421,7 @@ def _load_kernel():
         np.ctypeslib.ndpointer(d, flags="C_CONTIGUOUS") for d in (np.float64, np.int64, np.uint64)
     )
     kernel.seed_runs.argtypes = [i64, ctypes.c_uint64, u8]
-    kernel.advance.argtypes = [i64, u8, f8, i64, i8, i64, i32, f64, f64, f8, f8]
+    kernel.advance.argtypes = [i64, i64, i64, u8, f8, i64, i8, i64, i32, f64, f64, f8, f8]
     kernel.seed_runs.restype = kernel.advance.restype = None
     return kernel
 

@@ -1,7 +1,11 @@
+import contextlib
 import csv
 import dataclasses
 import math
+import os
 import subprocess
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -55,6 +59,14 @@ def sim_configs(draw, model):
     stride = draw(st.integers(1, 40))
     seed = draw(st.integers(0, 2**64 - 1))
     return SimConfig(spec, cfg_a, cfg_b, x0, steps, seed, stride)
+
+
+@contextlib.contextmanager
+def usable_cores(n):
+    """_simulate sees n usable cores and splits every block, however small."""
+    with mock.patch.object(os, "sched_getaffinity", return_value=set(range(n))), \
+            mock.patch.object(harness, "_WORK_FLOOR", 0):
+        yield
 
 
 def make_config(spec, theta=0.01, p_max=0.99, steps=500, seed=42, stride=100, x0=(0.5, 0.5)):
@@ -121,15 +133,21 @@ class TestRunEnsemble:
     @pytest.mark.parametrize("model", [Model.P, Model.S])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), runs=st.integers(1, 16), budget=st.integers(2, 400))
-    def test_scalar_and_vector_paths_agree_bitwise(self, model, data, runs, budget):
-        """On any config and any _BLOCK_BUDGET, so across block boundaries,
-        _simulate yields blocks of at most the budget's records, and lane k
-        of their concatenation is reference_loop at seed c.seed XOR k, bit
-        for bit."""
+    def test_blocks_match_reference_loop_at_any_slice_count(self, model, data, runs, budget):
+        """On any config, any _BLOCK_BUDGET (so across block boundaries) and
+        1, 2, 3 or 7 usable cores (so uneven slices, and fewer runs than
+        cores), _simulate yields blocks of at most the budget's records,
+        byte-equal to those of one slice, and lane k of their concatenation
+        is reference_loop at seed c.seed XOR k, bit for bit."""
         c = data.draw(sim_configs(model))
-        with mock.patch.object(harness, "_BLOCK_BUDGET", budget):
-            blocks = list(_simulate(c, runs))
+        by_cores = {}
+        for cores in (1, 2, 3, 7):
+            with usable_cores(cores), mock.patch.object(harness, "_BLOCK_BUDGET", budget):
+                by_cores[cores] = list(_simulate(c, runs))
+        blocks = by_cores[1]
         assert all(len(b) <= max(1, budget // (2 * runs)) for b in blocks)
+        for other in by_cores.values():
+            assert [b.tobytes() for b in other] == [b.tobytes() for b in blocks]
         x = np.concatenate(blocks)
         for k in range(runs):
             ref = reference_loop(dataclasses.replace(c, seed=c.seed ^ k))
@@ -193,6 +211,73 @@ class TestRunEnsemble:
         c = make_config(case2, theta=0.01, p_max=0.999, steps=30_000, stride=30_000)
         m = run_ensemble(c, 1000).x[-1]
         assert math.hypot(m[0] - 0.999, m[1] - 0.001) < 0.05
+
+
+class SliceKernel:
+    """The C kernel, with advance wrapped: it records the slice and thread of
+    each call, raises on the slice that starts at run fail_at, and makes the
+    other slices take at least delay seconds."""
+
+    def __init__(self, fail_at=None, delay=0.0):
+        self.fail_at, self.delay = fail_at, delay
+        self.done = []  # (r0, thread ident) of each slice that finished
+
+    def seed_runs(self, *args):
+        _load_kernel().seed_runs(*args)
+
+    def advance(self, runs, r0, r1, *args):
+        if r0 == self.fail_at:
+            raise RuntimeError(f"slice at run {r0}")
+        time.sleep(self.delay)
+        _load_kernel().advance(runs, r0, r1, *args)
+        self.done.append((r0, threading.get_ident()))
+
+
+class TestRunSlices:
+    """_simulate splits each block's runs into one slice per usable core.
+    Workers are joined before a block is yielded, and a slice's exception
+    reaches the caller."""
+
+    @pytest.mark.parametrize("fail_at", [2, 6])
+    def test_an_exception_in_a_worker_slice_reaches_the_caller(self, case1, fail_at):
+        kernel = SliceKernel(fail_at)
+        before = threading.active_count()
+        with usable_cores(4), mock.patch.object(harness, "_load_kernel", lambda: kernel):
+            with pytest.raises(RuntimeError, match=f"slice at run {fail_at}"):
+                list(_simulate(make_config(case1, steps=50), 8))
+        assert threading.active_count() == before
+
+    def test_workers_are_joined_when_the_callers_slice_raises(self, case1):
+        kernel = SliceKernel(fail_at=0, delay=0.05)
+        before = threading.active_count()
+        with usable_cores(4), mock.patch.object(harness, "_load_kernel", lambda: kernel):
+            with pytest.raises(RuntimeError, match="slice at run 0"):
+                list(_simulate(make_config(case1, steps=50), 8))
+        assert threading.active_count() == before
+        assert sorted(r0 for r0, _ in kernel.done) == [2, 4, 6]  # every worker finished
+
+    def test_no_worker_outlives_a_block(self, case1):
+        kernel = SliceKernel()
+        before = threading.active_count()
+        with usable_cores(3), mock.patch.object(harness, "_load_kernel", lambda: kernel), \
+                mock.patch.object(harness, "_BLOCK_BUDGET", 6):  # one record per block
+            gen = _simulate(make_config(case1, steps=500, stride=100), 3)
+            for _ in range(2):
+                next(gen)
+                assert threading.active_count() == before
+            gen.close()
+        assert threading.active_count() == before
+        assert sorted(r0 for r0, _ in kernel.done) == [0, 0, 1, 1, 2, 2]
+        assert len({ident for _, ident in kernel.done}) >= 3  # each block ran on three threads
+
+    def test_small_blocks_run_on_the_callers_thread(self, case1):
+        kernel = SliceKernel()
+        with mock.patch.object(os, "sched_getaffinity", return_value={0, 1, 2, 3}), \
+                mock.patch.object(harness, "_load_kernel", lambda: kernel):
+            list(_simulate(make_config(case1, steps=10), 40))  # 400 run-steps
+            list(_simulate(make_config(case1, steps=5000, stride=5000), 40))
+        assert kernel.done[0] == (0, threading.get_ident())
+        assert sorted(r0 for r0, _ in kernel.done[1:]) == [0, 10, 20, 30]
 
 
 class TestSteadyStateError:
