@@ -12,6 +12,7 @@ from .dynamics import (
     DriftValue,
     FixedPoint,
     Stability,
+    StepTooLarge,
     Trajectory,
     TrajectoryKind,
     fixed_points,
@@ -19,22 +20,17 @@ from .dynamics import (
     jacobian,
     vector_field,
 )
-from .errors import (
-    DegenerateGame,
-    NotCase3,
-    NotInSimplex,
-    StepTooLarge,
-)
 from .game import (
     CaseKind,
+    DegenerateGame,
     EquilibriumReport,
     GameSpec,
     JointState,
     Model,
+    NotInSimplex,
     PayoffMatrix,
     PRESETS,
     classify,
-    dump_game,
     equilibrium_report,
     load_game,
     mixed_equilibrium,
@@ -44,6 +40,7 @@ from .game import (
 from .harness import (
     BasinSplit,
     ErrorTableRow,
+    NotCase3,
     SimConfig,
     basin_split,
     error_table,

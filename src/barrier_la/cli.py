@@ -2,8 +2,13 @@
 
 Structured reports (classify, fixed-points, basin-split) go to stdout as
 JSON; anything plottable (simulate, ensemble, error-table, ode-field,
-ode-trajectory) goes to the --out path as CSV.  Exit codes: 0 success,
-1 validation error, 2 numerical failure.
+ode-trajectory) goes to the --out path as CSV.
+
+Exit codes: 0 success; 1 validation error, that is any ValueError
+(DegenerateGame, NotInSimplex and NotCase3 among them), OSError (an
+unreadable file, a C kernel that cannot be built) or MemoryError (a size
+too large to allocate); 2 numerical failure (StepTooLarge from RK4,
+fixed-points finding no root) or an argparse usage error.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import sys
 import numpy as np
 
 from . import dynamics, game, harness
-from .errors import StepTooLarge
+from .dynamics import StepTooLarge
 from .game import GameSpec, JointState, Model
 from .learner import LearnerConfig, _check_p_max
 

@@ -21,8 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateGame, StepTooLarge
-from .game import GameSpec, JointState
+from .game import DegenerateGame, GameSpec, JointState
 from .learner import _check_p_max
 
 DRIFT_STOP_TOL = 1e-10
@@ -35,15 +34,16 @@ ROOT_SLACK = 1e-6  # imaginary part and box overshoot allowed for resultant root
 COMMON_ROOT_TOL = 1e-6  # |A|, |B| relative to their coefficient sums at a common root
 
 
+class StepTooLarge(ArithmeticError):
+    """An RK4 stage left the sanity box [-0.1, 1.1]^2 or a state left [0, 1]^2."""
+
+
 @dataclass(frozen=True)
 class DriftValue:
     """The two components of the drift W(X)."""
 
     w1: float
     w2: float
-
-    def norm(self) -> float:
-        return math.hypot(self.w1, self.w2)
 
 
 class Stability(str, Enum):

@@ -15,9 +15,13 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
 
-from .errors import DegenerateGame, NotInSimplex
+class DegenerateGame(ValueError):
+    """A payoff tie makes the equilibrium taxonomy undefined."""
+
+
+class NotInSimplex(ValueError):
+    """A computed mixed-strategy coordinate fell outside [0, 1]."""
 
 
 class Model(str, Enum):
@@ -51,9 +55,6 @@ class PayoffMatrix:
     def entry(self, a: int, b: int) -> float:
         """Payoff entry for row action a and column action b (1-based)."""
         return (self.r11, self.r12, self.r21, self.r22)[2 * (a - 1) + (b - 1)]
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.r11, self.r12], [self.r21, self.r22]])
 
     @classmethod
     def from_rows(cls, rows) -> "PayoffMatrix":
@@ -114,15 +115,6 @@ class EquilibriumReport:
     L_prime: float
 
 
-def discriminants(spec: GameSpec) -> tuple[float, float]:
-    """Return (L, L_prime), the denominators of the mixed-equilibrium formulas."""
-    r11, r12, r21, r22 = spec.R.r11, spec.R.r12, spec.R.r21, spec.R.r22
-    c11, c12, c21, c22 = spec.C.r11, spec.C.r12, spec.C.r21, spec.C.r22
-    L = (r11 + r22) - (r12 + r21)
-    L_prime = (c11 + c22) - (c12 + c21)
-    return L, L_prime
-
-
 def classify(spec: GameSpec) -> CaseKind:
     """Classify the game by its number of pure equilibria.
 
@@ -180,7 +172,9 @@ def equilibrium_report(spec: GameSpec) -> EquilibriumReport:
     pure = tuple(pure_equilibria(spec))
     kind = _CASE_BY_PURE_COUNT[len(pure)]
     mixed = mixed_equilibrium(spec) if kind is not CaseKind.SINGLE_PURE else None
-    L, L_prime = discriminants(spec)
+    R, C = spec.R, spec.C
+    L = (R.r11 + R.r22) - (R.r12 + R.r21)
+    L_prime = (C.r11 + C.r22) - (C.r12 + C.r21)
     return EquilibriumReport(kind, pure, mixed, L, L_prime)
 
 
@@ -214,16 +208,8 @@ def preset(name: str) -> GameSpec:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}") from None
 
 
-def to_dict(spec: GameSpec) -> dict:
-    """JSON-ready form: {"model": "P"|"S", "R": [[..],[..]], "C": [[..],[..]]}."""
-    return {
-        "model": spec.model.value,
-        "R": spec.R.as_array().tolist(),
-        "C": spec.C.as_array().tolist(),
-    }
-
-
 def from_dict(data: dict) -> GameSpec:
+    """Game from its JSON form {"model": "P"|"S", "R": [[..],[..]], "C": [[..],[..]]}."""
     try:
         model = Model(data["model"])
         R = PayoffMatrix.from_rows(data["R"])
@@ -236,9 +222,3 @@ def from_dict(data: dict) -> GameSpec:
 def load_game(path: str | Path) -> GameSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return from_dict(json.load(fh))
-
-
-def dump_game(spec: GameSpec, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_dict(spec), fh, indent=2)
-        fh.write("\n")

@@ -34,7 +34,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import FixedPoint, Stability, Trajectory, TrajectoryKind, fixed_points
-from .errors import NotCase3
 from .game import (
     CaseKind, GameSpec, JointState, Model, classify, mixed_equilibrium, pure_equilibria,
 )
@@ -47,6 +46,10 @@ _BLOCK_BUDGET = 1 << 18
 # Run-steps below which a block runs on the caller's thread alone: starting a
 # thread costs about 0.15 ms, several thousand run-steps of the kernel.
 _WORK_FLOOR = 1 << 16
+
+
+class NotCase3(ValueError):
+    """Operation requires a game with two pure equilibria and one mixed."""
 
 
 @dataclass(frozen=True)
@@ -152,7 +155,8 @@ def error_table(
     from its late-time mean to the nearest of its candidate targets: target
     when given, otherwise the game's pure equilibria, or its mixed
     equilibrium when it has none.  A run that absorbs at a pure corner
-    therefore reports 0.0.
+    therefore reports 0.0.  Every cell's config is checked before the
+    first cell runs, so an invalid cell raises at once.
     """
     if not p_max_values or not theta_values:
         raise ValueError("p_max_values and theta_values must be non-empty")
@@ -160,13 +164,13 @@ def error_table(
         targets = [target]
     else:
         targets = pure_equilibria(spec) or [JointState(*mixed_equilibrium(spec))]
+    cfgs = [LearnerConfig(theta, p_max) for p_max in p_max_values for theta in theta_values]
+    cells = [SimConfig(spec, cfg, cfg, x0, steps, seed, record_stride) for cfg in cfgs]
     rows = []
-    for p_max in p_max_values:
-        for theta in theta_values:
-            cfg = LearnerConfig(theta=theta, p_max=p_max)
-            traj = run_game(SimConfig(spec, cfg, cfg, x0, steps, seed, record_stride))
-            error = min(steady_state_error(traj, t) for t in targets)
-            rows.append(ErrorTableRow(p_max, theta, error))
+    for c in cells:
+        traj = run_game(c)
+        error = min(steady_state_error(traj, t) for t in targets)
+        rows.append(ErrorTableRow(c.cfg_a.p_max, c.cfg_a.theta, error))
     return rows
 
 
@@ -443,13 +447,16 @@ def _write_csv(path: str | Path, header: str, *columns: np.ndarray) -> None:
             fh.writelines(row % v for v in zip(*chunk))
 
 
+_TRAJECTORY_HEADERS = {
+    TrajectoryKind.ODE: "t,p1,q1", TrajectoryKind.SIMULATED: "step,p1,q1",
+    TrajectoryKind.ENSEMBLE_MEAN: "step,mean_p1,mean_q1",
+}
+
+
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
-    """Write a trajectory as CSV: step,p1,q1 (mean_p1/mean_q1 for ensembles)."""
-    if traj.kind is TrajectoryKind.ODE:
-        _write_csv(path, "t,p1,q1", traj.t, traj.x[:, 0], traj.x[:, 1])
-        return
-    header = "step,mean_p1,mean_q1" if traj.kind is TrajectoryKind.ENSEMBLE_MEAN else "step,p1,q1"
-    _write_csv(path, header, traj.t.astype(np.int64), traj.x[:, 0], traj.x[:, 1])
+    """Write a trajectory as CSV under its kind's header.  The engine's
+    steps are int64, so they print as integers; ODE times print as floats."""
+    _write_csv(path, _TRAJECTORY_HEADERS[traj.kind], traj.t, traj.x[:, 0], traj.x[:, 1])
 
 
 def write_error_table_csv(rows: Sequence[ErrorTableRow], path: str | Path) -> None:

@@ -7,9 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from barrier_la import (
-    JointState, dump_game, dynamics, harness, mixed_equilibrium, preset, vector_field,
-)
+from barrier_la import JointState, dynamics, harness, mixed_equilibrium, vector_field
 from barrier_la.cli import _build_parser, main
 
 
@@ -39,7 +37,9 @@ class TestClassifyCommand:
 
     def test_game_file_round_trip(self, capsys, tmp_path):
         path = tmp_path / "g.json"
-        dump_game(preset("case3"), path)
+        path.write_text(
+            json.dumps({"model": "P", "R": [[0.3, 0.1], [0.2, 0.3]], "C": [[0.3, 0.2], [0.1, 0.2]]})
+        )
         rc, out, _ = run_cli(capsys, "classify", "--game", str(path))
         assert rc == 0
         assert json.loads(out)["case"] == "TwoPureOneMixed"
@@ -100,6 +100,14 @@ def test_documented_commands_match_the_parser():
         a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
     assert set(re.findall(r"barrier-la ([a-z][a-z-]*)", docs)) == set(subparsers.choices)
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (code,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(code, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert "CaseKind.MIXED_ONLY" in out and "Stability.STABLE" in out
 
 
 class TestValidation:

@@ -25,7 +25,7 @@ from barrier_la import (
     terminal_states,
 )
 from barrier_la import harness
-from barrier_la.game import discriminants, dump_game, from_dict, load_game, to_dict
+from barrier_la.game import from_dict, load_game
 
 from conftest import random_game, sign_case_oracle
 
@@ -117,7 +117,7 @@ class TestClassify:
         rng = np.random.default_rng(2718)
         for _ in range(500):
             spec = random_game(rng)
-            r, c = spec.R.as_array().ravel(), spec.C.as_array().ravel()
+            r, c = (np.array([m.r11, m.r12, m.r21, m.r22]) for m in (spec.R, spec.C))
             t = rng.choice(TINY_AND_PLAIN, 8)
             for game in (
                 spec,
@@ -214,9 +214,9 @@ class TestEquilibriumReport:
         assert r3.case_kind is CaseKind.TWO_PURE_ONE_MIXED and len(r3.pure) == 2 and r3.mixed
 
     def test_discriminants_of_case1(self, case1):
-        L, L_prime = discriminants(case1)
-        assert L == pytest.approx(-0.3)
-        assert L_prime == pytest.approx(0.45)
+        report = equilibrium_report(case1)
+        assert report.L == pytest.approx(-0.3)
+        assert report.L_prime == pytest.approx(0.45)
 
 
 def simulate(spec, steps, seed=0, theta=0.01):
@@ -286,19 +286,17 @@ class TestDeterministicFeedback:
 
 
 class TestJsonInterface:
+    # The documented game format, written out by hand as a user would.
+    CASE1 = {"model": "P", "R": [[0.2, 0.6], [0.4, 0.5]], "C": [[0.4, 0.25], [0.3, 0.6]]}
+    CASE2 = {"model": "P", "R": [[0.7, 0.9], [0.6, 0.8]], "C": [[0.6, 0.8], [0.8, 0.9]]}
+
     def test_round_trip(self, tmp_path, case1):
         path = tmp_path / "game.json"
-        dump_game(case1, path)
+        path.write_text(json.dumps(self.CASE1, indent=2) + "\n")
         assert load_game(path) == case1
 
-    def test_dict_format(self, case2):
-        d = to_dict(case2)
-        assert d == {
-            "model": "P",
-            "R": [[0.7, 0.9], [0.6, 0.8]],
-            "C": [[0.6, 0.8], [0.8, 0.9]],
-        }
-        assert from_dict(json.loads(json.dumps(d))) == case2
+    def test_dict_format(self):
+        assert from_dict(json.loads(json.dumps(self.CASE2))) == preset("case2")
 
     def test_invalid_payload_rejected(self):
         with pytest.raises(ValueError):

@@ -25,6 +25,7 @@ from barrier_la import (
     TrajectoryKind,
     basin_split,
     error_table,
+    integrate,
     mixed_equilibrium,
     run_ensemble,
     run_game,
@@ -343,6 +344,27 @@ class TestErrorTable:
         with pytest.raises(ValueError):
             error_table(case1, JointState(0.5, 0.5), [], [0.1], steps=10, seed=1)
 
+    @pytest.mark.parametrize(
+        "p_max_values, x0, message",
+        [
+            ([0.99, 0.4], (0.5, 0.5), "p_max must be in"),
+            ([0.999, 0.99], (0.995, 0.5), "outside the barrier interval"),
+        ],
+        ids=["p_max", "x0"],
+    )
+    def test_an_invalid_last_cell_raises_before_any_run(
+        self, case1, monkeypatch, p_max_values, x0, message
+    ):
+        calls = []
+        real_run_game = harness.run_game
+        monkeypatch.setattr(harness, "run_game", lambda c: calls.append(c) or real_run_game(c))
+        with pytest.raises(ValueError, match=message):
+            error_table(
+                case1, JointState(0.6667, 0.3333), p_max_values, [0.01], steps=1000, seed=1,
+                x0=JointState(*x0),
+            )
+        assert calls == []
+
     def test_error_shrinks_with_the_learning_rate(self, case1):
         """Steady-state error at p_max = 0.998 improves (or at worst matches,
         up to noise) when theta drops an order of magnitude.  The smaller
@@ -392,6 +414,25 @@ class TestCsvOutput:
             write_trajectory_csv(traj, tmp_path / "chunked.csv")
         assert (tmp_path / "chunked.csv").read_bytes() == path.read_bytes()
 
+    def test_ode_path_round_trip(self, tmp_path, case1):
+        traj = integrate(case1, JointState(0.9, 0.1), 0.99, step=0.1, t_max=1.0)
+        path = tmp_path / "ode.csv"
+        write_trajectory_csv(traj, path)
+        with open(path) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["t", "p1", "q1"]
+        got = np.array(rows[1:], dtype=np.float64)
+        assert np.array_equal(got, np.column_stack([traj.t, traj.x]))  # floats round-trip
+        with mock.patch.object(harness, "_BLOCK_BUDGET", 3):  # 11 rows: a partial last chunk
+            write_trajectory_csv(traj, tmp_path / "chunked.csv")
+        assert (tmp_path / "chunked.csv").read_bytes() == path.read_bytes()
+
+    def test_engine_steps_are_int64(self, case1):
+        # the writer prints int64 steps with %d, so no cast is needed
+        c = make_config(case1, steps=250)
+        assert run_game(c).t.dtype == np.int64
+        assert run_ensemble(c, runs=2).t.dtype == np.int64
+
     def test_ensemble_header(self, tmp_path, case1):
         traj = run_ensemble(make_config(case1, steps=100), runs=2)
         path = tmp_path / "ens.csv"
@@ -435,6 +476,13 @@ class TestKernelCache:
         assert _load_kernel() is not None
         c = make_config(case1, steps=300, stride=7)
         assert run_game(c).x.tolist() == [[r[1], r[2]] for r in reference_loop(c)]
+
+    def test_kernel_source_compiles_without_warnings(self):
+        # the loader compiles without warning flags; lint the same source
+        # with its own command
+        cmd = [*harness._CC, "-Wall", "-Wextra", "-Werror", "-x", "c", "-", "-o", os.devnull]
+        proc = subprocess.run(cmd, input=harness._KERNEL_C, text=True, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_without_a_compiler_loading_raises_naming_the_command(self, no_compiler):
         with pytest.raises(OSError) as exc:  # and no warning: warnings fail the suite
