@@ -206,11 +206,15 @@ def basin_split(
 # joint action x = 2*(u0 >= p) + (u1 >= q) and applies p <- p + f*(t - p),
 # the same IEEE-754 operations as the tests' one-draw-at-a-time reference
 # loop on numpy's own generator.  -ffp-contract=off (never -ffast-math)
-# keeps C from fusing a product into the following sum.  Each block's runs
-# are cut into one contiguous slice per usable core, and the slices' advance
-# calls run on threads at once, as ctypes releases the GIL.  A call touches
-# only its own runs' state and slots, so any thread count gives the same
-# bytes.  Seeding, the ensemble mean and the CSV write stay on one thread.
+# keeps C from fusing a product into the following sum.  A P-model reward
+# is read from a two-entry table {0, theta} indexed by the comparison
+# u < entry.  Near a mixed equilibrium that draw is a coin flip; a ternary
+# there compiles to a jump that mispredicts on most steps, the table read to
+# no branch at all.  Each block's runs are cut into one contiguous slice per
+# usable core, and the slices' advance calls run on threads at once, as
+# ctypes releases the GIL.  A call touches only its own runs' state and
+# slots, so any thread count gives the same bytes.  Seeding, the ensemble
+# mean and the CSV write stay on one thread.
 # ----------------------------------------------------------------------
 
 
@@ -241,7 +245,7 @@ def _simulate(c: SimConfig, runs: int):
     kernel.seed_runs(runs, c.seed, st)
     t = _record_steps(c)
     k = max(1, _BLOCK_BUDGET // (2 * runs))
-    cores = min(runs, len(os.sched_getaffinity(0)))
+    cores = min(runs, _usable_cores())
     for i in range(0, len(t), k):
         rec = t[i : i + k]
         t0 = int(t[i - 1]) if i else 0
@@ -254,6 +258,14 @@ def _simulate(c: SimConfig, runs: int):
         n = cores if runs * (int(rec[-1]) - t0) >= _WORK_FLOOR else 1
         _in_slices(advance, [runs * j // n for j in range(n + 1)])
         yield block
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on; where the platform cannot say
+    (no os.sched_getaffinity, as on macOS), the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _in_slices(advance, cuts: list[int]) -> None:
@@ -358,6 +370,10 @@ void advance(int64_t runs, int64_t r0, int64_t r1, uint64_t *st, double *pq, int
              const double *tab, double *out)
 {
     const double *fa = tab, *fb = tab + 4, *ta = tab + 8, *tb = tab + 12;
+    /* The P-model reward is looked up by the draw's comparison.  A ternary
+       compiles to a jump, and near a mixed equilibrium, where the draw is
+       a coin flip, that jump mispredicts on most steps. */
+    const double ga[2] = {0.0, th_a}, gb[2] = {0.0, th_b};
     for (int64_t r = r0; r < r1; r++) {
         uint64_t *g = st + 4 * r;
         u128 s = (u128)g[1] << 64 | g[0], inc = (u128)g[3] << 64 | g[2];
@@ -372,8 +388,8 @@ void advance(int64_t runs, int64_t r0, int64_t r1, uint64_t *st, double *pq, int
                 if (ptype) {
                     double u2 = next_double(&s, inc);
                     double u3 = next_double(&s, inc);
-                    f = u2 < f ? th_a : 0.0;
-                    h = u3 < h ? th_b : 0.0;
+                    f = ga[u2 < f];
+                    h = gb[u3 < h];
                 }
                 p = p + f * (ta[x] - p);
                 q = q + h * (tb[x] - q);

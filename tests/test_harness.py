@@ -110,6 +110,45 @@ class TestRunGame:
         c = make_config(GameSpec(Model.P, m, m), theta=0.1, steps=300, stride=1, seed=3)
         assert run_game(c).x.tolist() == [[r[1], r[2]] for r in reference_loop(c)]
 
+    @pytest.mark.parametrize("game", ["case1", "zero_one"])
+    def test_reward_select_matches_reference_loop(self, game, case1):
+        """The kernel's P-model reward select, bit for bit against
+        reference_loop over 20 000 steps at stride 1.  case1 starts at its
+        mixed equilibrium, where each reward draw is near a coin flip; the
+        other game's entries are 0.0 (never rewarded) and 1.0 (always,
+        since u < 1).  The two players' learning rates differ, so swapped
+        reward tables would show."""
+        if game == "case1":
+            spec, x0 = case1, JointState(*mixed_equilibrium(case1))
+        else:
+            spec = GameSpec(
+                Model.P, PayoffMatrix(1.0, 0.0, 0.0, 1.0), PayoffMatrix(0.0, 1.0, 1.0, 0.0)
+            )
+            x0 = JointState(0.5, 0.5)
+        cfg_a, cfg_b = LearnerConfig(theta=0.01, p_max=0.99), LearnerConfig(theta=0.02, p_max=0.99)
+        c = SimConfig(spec, cfg_a, cfg_b, x0, 20_000, 11, 1)
+        assert run_game(c).x.tolist() == [[r[1], r[2]] for r in reference_loop(c)]
+
+    def test_p_entries_zero_and_one_never_and_always_reward(self):
+        # A's entries are all 1.0, so p moves on every step; B's are all 0.0,
+        # so q never leaves its start
+        spec = GameSpec(Model.P, PayoffMatrix(1.0, 1.0, 1.0, 1.0), PayoffMatrix(0.0, 0.0, 0.0, 0.0))
+        x = run_game(make_config(spec, steps=1000, stride=1, x0=(0.5, 0.3))).x
+        assert np.all(np.diff(x[:, 0]) != 0.0)
+        assert np.all(x[:, 1] == 0.3)
+
+    @pytest.mark.parametrize("above, moves", [(False, False), (True, True)])
+    def test_reward_needs_a_draw_strictly_below_the_entry(self, above, moves):
+        """Every entry of A is set to A's first reward draw u2, and of B to
+        u3 (or to the next double above them): a draw equal to its entry
+        earns no reward, so the first step leaves the state in place."""
+        u = np.random.default_rng(5).random(4)
+        if above:
+            u = np.nextafter(u, 1.0)
+        spec = GameSpec(Model.P, PayoffMatrix(*[u[2]] * 4), PayoffMatrix(*[u[3]] * 4))
+        x = run_game(make_config(spec, steps=1, stride=1, seed=5)).x
+        assert (x[1] != x[0]).tolist() == [moves, moves]
+
     def test_states_stay_inside_barrier_box(self, case3):
         c = make_config(case3, theta=0.2, p_max=0.93, steps=5000, stride=1)
         traj = run_game(c)
@@ -270,6 +309,24 @@ class TestRunSlices:
         assert threading.active_count() == before
         assert sorted(r0 for r0, _ in kernel.done) == [0, 0, 1, 1, 2, 2]
         assert len({ident for _, ident in kernel.done}) >= 3  # each block ran on three threads
+
+    def test_without_sched_getaffinity_slices_by_cpu_count(self, case1, monkeypatch):
+        """Where os has no sched_getaffinity (macOS), _simulate slices by
+        os.cpu_count(), or runs one slice when that is None, and the
+        ensemble is the same bytes."""
+        c = make_config(case1, steps=300, stride=7)
+        monkeypatch.setattr(harness, "_WORK_FLOOR", 0)
+        want = [b.tobytes() for b in _simulate(c, 9)]
+        monkeypatch.delattr(os, "sched_getaffinity")
+        cuts = {}
+        for count in (3, None):
+            kernel = SliceKernel()
+            with mock.patch.object(os, "cpu_count", return_value=count), \
+                    mock.patch.object(harness, "_load_kernel", lambda: kernel):
+                assert [b.tobytes() for b in _simulate(c, 9)] == want
+            cuts[count] = sorted(r0 for r0, _ in kernel.done)
+        assert cuts == {3: [0, 3, 6], None: [0]}
+        assert [b.tobytes() for b in _simulate(c, 9)] == want  # this machine's cpu_count
 
     def test_small_blocks_run_on_the_callers_thread(self, case1):
         kernel = SliceKernel()
