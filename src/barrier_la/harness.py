@@ -25,6 +25,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass, replace
@@ -43,9 +44,6 @@ from .learner import LearnerConfig
 # 2 * runs) as a block holds one record or more) and rows per CSV write.
 # Block boundaries never affect results: run state and stream carry over.
 _BLOCK_BUDGET = 1 << 18
-# Run-steps below which a block runs on the caller's thread alone: starting a
-# thread costs about 0.15 ms, several thousand run-steps of the kernel.
-_WORK_FLOOR = 1 << 16
 
 
 class NotCase3(ValueError):
@@ -65,17 +63,23 @@ class SimConfig:
     record_stride: int = 100
 
     def __post_init__(self) -> None:
-        if not 0 <= self.steps < 2**63:
-            raise ValueError("steps must be in [0, 2**63)")
-        if not 1 <= self.record_stride < 2**63:
-            raise ValueError("record_stride must be in [1, 2**63)")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit non-negative integer")
+        for name, lo, bits in (("steps", 0, 63), ("record_stride", 1, 63), ("seed", 0, 64)):
+            _check_count(name, getattr(self, name), lo, bits)
         for name, v, cfg in (("p1", self.x0.p1, self.cfg_a), ("q1", self.x0.q1, self.cfg_b)):
             if not cfg.p_min <= v <= cfg.p_max:
                 raise ValueError(
                     f"x0.{name}={v} outside the barrier interval [{cfg.p_min}, {cfg.p_max}]"
                 )
+
+
+def _check_count(name: str, v, lo: int, bits: int = 63) -> None:
+    """Raise ValueError naming the field unless v is an integer in [lo, 2**bits)."""
+    try:
+        ok = lo <= operator.index(v) < 2**bits
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer in [{lo}, 2**{bits}), got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -201,20 +205,17 @@ def basin_split(
 # ----------------------------------------------------------------------
 # Engine internals.  _simulate seeds every run with the C kernel's seed_runs,
 # a port of numpy's PCG64(seed ^ k) seeding, and drives them through its
-# advance() one (records, 2, runs) block at a time.  advance indexes the rows
-# of one (4, 4) table (feedback A, feedback B, target A, target B) by the
-# joint action x = 2*(u0 >= p) + (u1 >= q) and applies p <- p + f*(t - p),
-# the same IEEE-754 operations as the tests' one-draw-at-a-time reference
-# loop on numpy's own generator.  -ffp-contract=off (never -ffast-math)
-# keeps C from fusing a product into the following sum.  A P-model reward
-# is read from a two-entry table {0, theta} indexed by the comparison
-# u < entry.  Near a mixed equilibrium that draw is a coin flip; a ternary
-# there compiles to a jump that mispredicts on most steps, the table read to
-# no branch at all.  Each block's runs are cut into one contiguous slice per
-# usable core, and the slices' advance calls run on threads at once, as
-# ctypes releases the GIL.  A call touches only its own runs' state and
-# slots, so any thread count gives the same bytes.  Seeding, the ensemble
-# mean and the CSV write stay on one thread.
+# advance() one (records, 2, runs) block at a time.  Every constant advance
+# reads, theta included, is in one (5, 4) table that _simulate builds (its
+# layout, and why the P-model reward is a table read, are at advance).
+# advance only indexes it and applies p <- p + f*(t - p), the same IEEE-754
+# operations as the tests' one-draw-at-a-time reference loop on numpy's own
+# generator.  -ffp-contract=off (never -ffast-math) keeps C from fusing a
+# product into the following sum.  _in_slices cuts each block's runs into
+# one contiguous slice per usable core and runs the slices on threads at
+# once, as ctypes releases the GIL.  A call touches only its own runs' state
+# and slots, so any thread count gives the same bytes.  Seeding, the
+# ensemble mean and the CSV write stay on one thread.
 # ----------------------------------------------------------------------
 
 
@@ -227,17 +228,14 @@ def _record_steps(c: SimConfig) -> np.ndarray:
 def _simulate(c: SimConfig, runs: int):
     """Yield the states of all runs of c at _record_steps(c), one block of
     shape (records, 2, runs) at a time.  Run k uses seed c.seed XOR k."""
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    _check_count("runs", runs, 1)
     a, b = c.cfg_a, c.cfg_b
     ptype = c.spec.model is Model.P
     fa, fb = ((m.r11, m.r12, m.r21, m.r22) for m in (c.spec.R, c.spec.C))
     if not ptype:  # S feeds theta * entry back; P draws a reward with the entry's probability
         fa, fb = [a.theta * e for e in fa], [b.theta * e for e in fb]
-    tab = np.array(
-        [fa, fb, (a.p_max, a.p_max, a.p_min, a.p_min), (b.p_max, b.p_min, b.p_max, b.p_min)],
-        dtype=np.float64,
-    )
+    tab = np.array([fa, fb, (a.p_max, a.p_max, a.p_min, a.p_min),
+                    (b.p_max, b.p_min, b.p_max, b.p_min), (0.0, a.theta, 0.0, b.theta)], np.float64)
     pq = np.empty((2, runs))  # before any per-run work, so an impossible runs fails at once
     pq[0], pq[1] = c.x0.p1, c.x0.q1
     kernel = _load_kernel()
@@ -245,18 +243,11 @@ def _simulate(c: SimConfig, runs: int):
     kernel.seed_runs(runs, c.seed, st)
     t = _record_steps(c)
     k = max(1, _BLOCK_BUDGET // (2 * runs))
-    cores = min(runs, _usable_cores())
     for i in range(0, len(t), k):
         rec = t[i : i + k]
-        t0 = int(t[i - 1]) if i else 0
         block = np.empty((len(rec), 2, runs))
-
-        def advance(r0: int, r1: int) -> None:
-            kernel.advance(runs, r0, r1, st, pq, t0, rec, len(rec), ptype, a.theta, b.theta,
-                           tab, block)
-
-        n = cores if runs * (int(rec[-1]) - t0) >= _WORK_FLOOR else 1
-        _in_slices(advance, [runs * j // n for j in range(n + 1)])
+        _in_slices(kernel.advance, runs, st, pq, int(t[i - 1]) if i else 0, rec, len(rec), ptype,
+                   tab, block)
         yield block
 
 
@@ -268,16 +259,19 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _in_slices(advance, cuts: list[int]) -> None:
-    """Call advance(cuts[j], cuts[j + 1]) for every slice j: slice 0 on this
-    thread, each other slice on a thread of its own.  Every worker is joined
+def _in_slices(advance, runs: int, *args) -> None:
+    """Call advance(runs, *args, r0, r1) once per slice [r0, r1) of the runs,
+    cut into min(runs, _usable_cores()) contiguous slices: the first on this
+    thread, each other on a thread of its own.  Every worker is joined
     before this returns or raises, and an exception in any slice is raised
     here, so a block is never left part-written."""
+    n = min(runs, _usable_cores())
+    cuts = [runs * j // n for j in range(n + 1)]
     errors: list[BaseException] = []
 
     def work(r0: int, r1: int) -> None:
         try:
-            advance(r0, r1)
+            advance(runs, *args, r0, r1)
         except BaseException as exc:  # raised again on the caller's thread below
             errors.append(exc)
 
@@ -287,7 +281,7 @@ def _in_slices(advance, cuts: list[int]) -> None:
             worker = threading.Thread(target=work, args=(r0, r1))
             worker.start()
             workers.append(worker)
-        advance(cuts[0], cuts[1])
+        advance(runs, *args, cuts[0], cuts[1])
     finally:
         for worker in workers:
             worker.join()
@@ -362,18 +356,20 @@ static inline double next_double(u128 *s, u128 inc)
 /* Advance each run r in [r0, r1) from step t through the steps rec[0..k),
    storing its state after rec[j] steps at out[j][0][r] and out[j][1][r].
    st holds the runs' generators as seed_runs lays them out, pq the (2, runs)
-   states; tab the rows feedback A, feedback B, target A and target B, each
-   indexed by the joint action.  A call reads and writes only the slots of
-   its own runs, so calls on disjoint ranges may run at the same time. */
-void advance(int64_t runs, int64_t r0, int64_t r1, uint64_t *st, double *pq, int64_t t,
-             const int64_t *rec, int64_t k, int ptype, double th_a, double th_b,
-             const double *tab, double *out)
+   states; tab the (5, 4) table _simulate builds: rows feedback A, feedback
+   B, target A and target B, each indexed by the joint action
+   x = 2*(u0 >= p) + (u1 >= q), then (0, theta_a, 0, theta_b).  A call reads
+   and writes only the slots of its own runs, so calls on disjoint ranges
+   may run at the same time. */
+void advance(int64_t runs, uint64_t *st, double *pq, int64_t t, const int64_t *rec,
+             int64_t k, int ptype, const double *tab, double *out, int64_t r0, int64_t r1)
 {
     const double *fa = tab, *fb = tab + 4, *ta = tab + 8, *tb = tab + 12;
-    /* The P-model reward is looked up by the draw's comparison.  A ternary
-       compiles to a jump, and near a mixed equilibrium, where the draw is
-       a coin flip, that jump mispredicts on most steps. */
-    const double ga[2] = {0.0, th_a}, gb[2] = {0.0, th_b};
+    /* The P-model reward, 0 or theta, is read from {0, theta} at index
+       u < entry.  A ternary compiles to a jump, and near a mixed
+       equilibrium, where the draw is a coin flip, that jump mispredicts on
+       most steps; the table read has no branch. */
+    const double *ga = tab + 16, *gb = tab + 18;
     for (int64_t r = r0; r < r1; r++) {
         uint64_t *g = st + 4 * r;
         u128 s = (u128)g[1] << 64 | g[0], inc = (u128)g[3] << 64 | g[2];
@@ -436,12 +432,12 @@ def _load_kernel():
     except OSError as exc:
         cc = " ".join(_CC)
         raise OSError(f"cannot build or load the C kernel with {cc} into {so}: {exc}") from exc
-    i64, f64, i32 = ctypes.c_int64, ctypes.c_double, ctypes.c_int
+    i64, i32 = ctypes.c_int64, ctypes.c_int
     f8, i8, u8 = (
         np.ctypeslib.ndpointer(d, flags="C_CONTIGUOUS") for d in (np.float64, np.int64, np.uint64)
     )
     kernel.seed_runs.argtypes = [i64, ctypes.c_uint64, u8]
-    kernel.advance.argtypes = [i64, i64, i64, u8, f8, i64, i8, i64, i32, f64, f64, f8, f8]
+    kernel.advance.argtypes = [i64, u8, f8, i64, i8, i64, i32, f8, f8, i64, i64]
     kernel.seed_runs.restype = kernel.advance.restype = None
     return kernel
 

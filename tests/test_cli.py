@@ -400,6 +400,11 @@ class TestOdeCommands:
         assert high["x"][0] == pytest.approx(0.99698488, abs=1e-6)
         assert saddle[0]["det"] < 0
 
+    def test_no_fixed_points_is_numerical_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(dynamics, "fixed_points", lambda spec, p_max: [])
+        rc, out, err = run_cli(capsys, "fixed-points", "--preset", "case1", "--pmax", "0.99")
+        assert (rc, out, err) == (2, "", "numerical error: no fixed points found\n")
+
     def test_fixed_points_case2(self, capsys):
         rc, out, _ = run_cli(capsys, "fixed-points", "--preset", "case2", "--pmax", "0.99")
         assert rc == 0

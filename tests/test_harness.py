@@ -64,9 +64,9 @@ def sim_configs(draw, model):
 
 @contextlib.contextmanager
 def usable_cores(n):
-    """_simulate sees n usable cores and splits every block, however small."""
-    with mock.patch.object(os, "sched_getaffinity", return_value=set(range(n))), \
-            mock.patch.object(harness, "_WORK_FLOOR", 0):
+    """_simulate sees n usable cores, so it cuts every block of more than one
+    run into min(runs, n) slices."""
+    with mock.patch.object(os, "sched_getaffinity", return_value=set(range(n))):
         yield
 
 
@@ -160,6 +160,30 @@ class TestRunGame:
         cfg = LearnerConfig(theta=0.1, p_max=0.9)
         with pytest.raises(ValueError, match="barrier"):
             SimConfig(case1, cfg, cfg, JointState(0.95, 0.5), 10, 1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("steps", 100.5), ("steps", "100"), ("record_stride", 7.5), ("seed", 3.7),
+        ("seed", np.float64(3.0)), ("runs", 2.5),
+    ], ids=["steps", "steps-str", "record_stride", "seed", "seed-np-float", "runs"])
+    def test_counts_that_are_not_integers_rejected_before_any_run(
+        self, case1, monkeypatch, field, value
+    ):
+        """A count must be an integer: a ValueError names the field before
+        the kernel is loaded, so nothing runs and no other exception leaks."""
+        def no_kernel():
+            raise AssertionError("the kernel was loaded")
+
+        monkeypatch.setattr(harness, "_load_kernel", no_kernel)
+        kwargs = {"stride" if field == "record_stride" else field: value}
+        runs = kwargs.pop("runs", 2)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            run_ensemble(make_config(case1, **kwargs), runs)
+
+    def test_numpy_integer_counts_run_as_ints(self, case1):
+        want = run_ensemble(make_config(case1, steps=300, seed=2**64 - 1, stride=7), 3)
+        c = make_config(case1, steps=np.int64(300), seed=np.uint64(2**64 - 1), stride=np.int32(7))
+        got = run_ensemble(c, np.int64(3))
+        assert got.t.tolist() == want.t.tolist() and got.x.tobytes() == want.x.tobytes()
 
 
 class TestRunEnsemble:
@@ -265,11 +289,12 @@ class SliceKernel:
     def seed_runs(self, *args):
         _load_kernel().seed_runs(*args)
 
-    def advance(self, runs, r0, r1, *args):
+    def advance(self, *args):
+        r0 = args[-2]  # the slice [r0, r1) comes last
         if r0 == self.fail_at:
             raise RuntimeError(f"slice at run {r0}")
         time.sleep(self.delay)
-        _load_kernel().advance(runs, r0, r1, *args)
+        _load_kernel().advance(*args)
         self.done.append((r0, threading.get_ident()))
 
 
@@ -277,6 +302,21 @@ class TestRunSlices:
     """_simulate splits each block's runs into one slice per usable core.
     Workers are joined before a block is yielded, and a slice's exception
     reaches the caller."""
+
+    @pytest.mark.parametrize("runs, cores, cuts", [
+        (1, 4, [(0, 1)]), (7, 3, [(0, 2), (2, 4), (4, 7)]), (2, 7, [(0, 1), (1, 2)]),
+    ])
+    def test_in_slices_passes_the_slice_last(self, runs, cores, cuts):
+        """_in_slices calls advance(runs, *args, r0, r1) on min(runs, cores)
+        contiguous slices, the first on the caller's thread, however little
+        work a slice holds."""
+        calls = []
+        with usable_cores(cores):
+            harness._in_slices(
+                lambda *a: calls.append((a, threading.get_ident())), runs, "st", "tab"
+            )
+        assert sorted(a for a, _ in calls) == [(runs, "st", "tab", r0, r1) for r0, r1 in cuts]
+        assert [a[-2] for a, ident in calls if ident == threading.get_ident()] == [0]
 
     @pytest.mark.parametrize("fail_at", [2, 6])
     def test_an_exception_in_a_worker_slice_reaches_the_caller(self, case1, fail_at):
@@ -315,7 +355,6 @@ class TestRunSlices:
         os.cpu_count(), or runs one slice when that is None, and the
         ensemble is the same bytes."""
         c = make_config(case1, steps=300, stride=7)
-        monkeypatch.setattr(harness, "_WORK_FLOOR", 0)
         want = [b.tobytes() for b in _simulate(c, 9)]
         monkeypatch.delattr(os, "sched_getaffinity")
         cuts = {}
@@ -327,15 +366,6 @@ class TestRunSlices:
             cuts[count] = sorted(r0 for r0, _ in kernel.done)
         assert cuts == {3: [0, 3, 6], None: [0]}
         assert [b.tobytes() for b in _simulate(c, 9)] == want  # this machine's cpu_count
-
-    def test_small_blocks_run_on_the_callers_thread(self, case1):
-        kernel = SliceKernel()
-        with mock.patch.object(os, "sched_getaffinity", return_value={0, 1, 2, 3}), \
-                mock.patch.object(harness, "_load_kernel", lambda: kernel):
-            list(_simulate(make_config(case1, steps=10), 40))  # 400 run-steps
-            list(_simulate(make_config(case1, steps=5000, stride=5000), 40))
-        assert kernel.done[0] == (0, threading.get_ident())
-        assert sorted(r0 for r0, _ in kernel.done[1:]) == [0, 10, 20, 30]
 
 
 class TestSteadyStateError:
