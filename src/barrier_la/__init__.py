@@ -5,7 +5,7 @@ analysis), ``learner`` (learning rate and barrier of a player),
 ``dynamics`` (drift field, Jacobian, ODE integration, fixed points) and
 ``harness`` (the seeded Monte Carlo engine that samples actions and
 feedback and applies the barrier update).  ``cli`` exposes everything as
-the ``barrier-la`` command.
+the ``barrier-la`` command and writes its JSON and CSV output.
 """
 
 from .dynamics import (
@@ -14,7 +14,6 @@ from .dynamics import (
     Stability,
     StepTooLarge,
     Trajectory,
-    TrajectoryKind,
     fixed_points,
     integrate,
     jacobian,
@@ -48,8 +47,6 @@ from .harness import (
     run_game,
     steady_state_error,
     terminal_states,
-    write_error_table_csv,
-    write_trajectory_csv,
 )
 from .learner import LearnerConfig
 

@@ -2,7 +2,9 @@
 
 Structured reports (classify, fixed-points, basin-split) go to stdout as
 JSON; anything plottable (simulate, ensemble, error-table, ode-field,
-ode-trajectory) goes to the --out path as CSV.
+ode-trajectory) goes to the --out path as CSV under the header named in
+the command's help; floats carry 17 significant digits so values
+round-trip exactly.
 
 Exit codes: 0 success; 1 validation error, that is any ValueError
 (DegenerateGame, NotInSimplex and NotCase3 among them), OSError (an
@@ -24,6 +26,8 @@ from . import dynamics, game, harness
 from .dynamics import StepTooLarge
 from .game import GameSpec, JointState, Model
 from .learner import LearnerConfig, _check_p_max
+
+_ROWS_PER_WRITE = 1 << 18  # bounds the rows formatted at a time
 
 
 def main(argv=None) -> int:
@@ -49,26 +53,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_: str, func, *, out: bool = False):
-        p = sub.add_parser(name, help=help_)
+    def add(name: str, help_: str, func, *, csv: str = ""):
+        """A subcommand; given a CSV header, func returns the columns that
+        --out receives under it."""
+        help_ = f"{help_}, CSV {csv}" if csv else help_
+        p = sub.add_parser(name, help=help_, description=help_)
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--preset", choices=sorted(game.PRESETS), help="built-in game")
         src.add_argument("--game", metavar="PATH", help="game spec JSON file")
-        if out:
+        if csv:
             p.add_argument("--out", required=True, metavar="PATH", help="CSV output path")
-        p.set_defaults(func=func)
+        p.set_defaults(func=functools.partial(_csv_command, func, csv) if csv else func)
         return p
 
     add("classify", "case classification plus equilibria as JSON", _cmd_classify)
 
-    p = add("simulate", "single seeded run, CSV step,p1,q1", _cmd_simulate, out=True)
+    p = add("simulate", "single seeded run", _cmd_simulate, csv="step,p1,q1")
     _sim_flags(p)
 
-    p = add("ensemble", "mean over replicas, CSV step,mean_p1,mean_q1", _cmd_ensemble, out=True)
+    p = add("ensemble", "mean over replicas", _cmd_ensemble, csv="step,mean_p1,mean_q1")
     _sim_flags(p)
     p.add_argument("--runs", type=int, default=1000)
 
-    p = add("error-table", "steady-state error per (p_max, theta) cell", _cmd_error_table, out=True)
+    p = add(
+        "error-table", "steady-state error per (p_max, theta) cell", _cmd_error_table,
+        csv="p_max,theta,error",
+    )
     _sim_flags(p, learner=False, steps=5_000_000)
     p.add_argument("--pmax-list", required=True, help="comma-separated p_max values")
     p.add_argument("--theta-list", required=True, help="comma-separated theta values")
@@ -79,11 +89,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _sim_flags(p, stride=False)  # only the final state of each run is used
     p.add_argument("--runs", type=int, default=1000)
 
-    p = add("ode-field", "drift field on a lattice, CSV p1,q1,w1,w2", _cmd_ode_field, out=True)
+    p = add("ode-field", "drift field on a lattice", _cmd_ode_field, csv="p1,q1,w1,w2")
     p.add_argument("--pmax", type=float, default=0.99)
     p.add_argument("--grid-n", type=int, default=21)
 
-    p = add("ode-trajectory", "RK4 path of the mean ODE, CSV t,p1,q1", _cmd_ode_trajectory, out=True)
+    p = add("ode-trajectory", "RK4 path of the mean ODE", _cmd_ode_trajectory, csv="t,p1,q1")
     p.add_argument("--pmax", type=float, default=0.99)
     p.add_argument("--p0", type=float, default=0.5)
     p.add_argument("--q0", type=float, default=0.5)
@@ -128,6 +138,22 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
+def _csv_command(columns, header: str, args, spec: GameSpec) -> int:
+    _write_csv(args.out, header, *columns(args, spec))
+    return 0
+
+
+def _write_csv(path: str, header: str, *columns: np.ndarray) -> None:
+    """Write header, then row i of the columns: integers as such, floats with
+    17 significant digits."""
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(columns[0]), _ROWS_PER_WRITE):
+            chunk = (c[i : i + _ROWS_PER_WRITE].tolist() for c in columns)
+            fh.writelines(row % v for v in zip(*chunk))
+
+
 def _cmd_classify(args, spec: GameSpec) -> int:
     report = game.equilibrium_report(spec)
     _print_json(
@@ -142,19 +168,17 @@ def _cmd_classify(args, spec: GameSpec) -> int:
     return 0
 
 
-def _cmd_simulate(args, spec: GameSpec) -> int:
+def _cmd_simulate(args, spec: GameSpec):
     traj = harness.run_game(_sim_config(args, spec))
-    harness.write_trajectory_csv(traj, args.out)
-    return 0
+    return traj.t, *traj.x.T
 
 
-def _cmd_ensemble(args, spec: GameSpec) -> int:
+def _cmd_ensemble(args, spec: GameSpec):
     traj = harness.run_ensemble(_sim_config(args, spec), args.runs)
-    harness.write_trajectory_csv(traj, args.out)
-    return 0
+    return traj.t, *traj.x.T
 
 
-def _cmd_error_table(args, spec: GameSpec) -> int:
+def _cmd_error_table(args, spec: GameSpec):
     p_max_values = _parse_floats(args.pmax_list, "pmax-list")
     theta_values = _parse_floats(args.theta_list, "theta-list")
     if (args.target_p is None) != (args.target_q is None):
@@ -164,8 +188,7 @@ def _cmd_error_table(args, spec: GameSpec) -> int:
         spec, target, p_max_values, theta_values, steps=args.steps, seed=args.seed,
         x0=JointState(args.p0, args.q0), record_stride=args.stride,
     )
-    harness.write_error_table_csv(rows, args.out)
-    return 0
+    return np.array([(r.p_max, r.theta, r.error) for r in rows], dtype=np.float64).T
 
 
 def _cmd_basin_split(args, spec: GameSpec) -> int:
@@ -182,22 +205,19 @@ def _cmd_basin_split(args, spec: GameSpec) -> int:
     return 0
 
 
-def _cmd_ode_field(args, spec: GameSpec) -> int:
+def _cmd_ode_field(args, spec: GameSpec):
     if args.grid_n < 2:
         raise ValueError("grid-n must be >= 2")
     _check_p_max(args.pmax)
     grid = np.linspace(0.0, 1.0, args.grid_n)
     p1, q1 = (g.ravel() for g in np.meshgrid(grid, grid, indexing="ij"))
-    w1, w2 = dynamics._field(spec, p1, q1, args.pmax)
-    harness._write_csv(args.out, "p1,q1,w1,w2", p1, q1, w1, w2)
-    return 0
+    return p1, q1, *dynamics._field(spec, p1, q1, args.pmax)
 
 
-def _cmd_ode_trajectory(args, spec: GameSpec) -> int:
+def _cmd_ode_trajectory(args, spec: GameSpec):
     x0 = JointState(args.p0, args.q0)
     traj = dynamics.integrate(spec, x0, args.pmax, step=args.ode_step, t_max=args.t_max)
-    harness.write_trajectory_csv(traj, args.out)
-    return 0
+    return traj.t, *traj.x.T
 
 
 def _cmd_fixed_points(args, spec: GameSpec) -> int:

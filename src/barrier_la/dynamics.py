@@ -68,17 +68,10 @@ class FixedPoint:
     stability: Stability
 
 
-class TrajectoryKind(str, Enum):
-    ODE = "Ode"
-    SIMULATED = "Simulated"
-    ENSEMBLE_MEAN = "EnsembleMean"
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Ordered samples (t, x), n >= 1, of an integrated, simulated or averaged path."""
 
-    kind: TrajectoryKind
     t: np.ndarray
     x: np.ndarray
 
@@ -197,7 +190,7 @@ def integrate(
             raise StepTooLarge(f"RK4 state ({p}, {q}) at t = {i * step} left [0, 1]^2")
         ts.append(i * step)
         xs += (p, q)
-    return Trajectory(TrajectoryKind.ODE, np.array(ts), np.array(xs).reshape(-1, 2))
+    return Trajectory(np.array(ts), np.array(xs).reshape(-1, 2))
 
 
 def fixed_points(spec: GameSpec, p_max: float) -> list[FixedPoint]:

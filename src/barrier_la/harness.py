@@ -34,15 +34,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import FixedPoint, Stability, Trajectory, TrajectoryKind, fixed_points
+from .dynamics import FixedPoint, Stability, Trajectory, fixed_points
 from .game import (
     CaseKind, GameSpec, JointState, Model, classify, mixed_equilibrium, pure_equilibria,
 )
 from .learner import LearnerConfig
 
-# Values per advance call (records x 2 x runs, at most max(_BLOCK_BUDGET,
-# 2 * runs) as a block holds one record or more) and rows per CSV write.
-# Block boundaries never affect results: run state and stream carry over.
+# Values per advance call: records x 2 x runs, at most max(_BLOCK_BUDGET,
+# 2 * runs) as a block holds one record or more.  Block boundaries never
+# affect results: run state and stream carry over.
 _BLOCK_BUDGET = 1 << 18
 
 
@@ -113,7 +113,7 @@ def run_game(c: SimConfig) -> Trajectory:
     final step.  Bit-reproducible for a given SimConfig.
     """
     states = np.concatenate([block[:, :, 0] for block in _simulate(c, 1)])
-    return Trajectory(TrajectoryKind.SIMULATED, _record_steps(c), states)
+    return Trajectory(_record_steps(c), states)
 
 
 def run_ensemble(c: SimConfig, runs: int) -> Trajectory:
@@ -124,7 +124,7 @@ def run_ensemble(c: SimConfig, runs: int) -> Trajectory:
     With runs=1 the output equals run_game(c) exactly.
     """
     mean = np.concatenate([block.mean(axis=-1) for block in _simulate(c, runs)])
-    return Trajectory(TrajectoryKind.ENSEMBLE_MEAN, _record_steps(c), mean)
+    return Trajectory(_record_steps(c), mean)
 
 
 def terminal_states(c: SimConfig, runs: int) -> np.ndarray:
@@ -214,8 +214,8 @@ def basin_split(
 # product into the following sum.  _in_slices cuts each block's runs into
 # one contiguous slice per usable core and runs the slices on threads at
 # once, as ctypes releases the GIL.  A call touches only its own runs' state
-# and slots, so any thread count gives the same bytes.  Seeding, the
-# ensemble mean and the CSV write stay on one thread.
+# and slots, so any thread count gives the same bytes.  Seeding and the
+# ensemble mean stay on one thread.
 # ----------------------------------------------------------------------
 
 
@@ -440,38 +440,3 @@ def _load_kernel():
     kernel.advance.argtypes = [i64, u8, f8, i64, i8, i64, i32, f8, f8, i64, i64]
     kernel.seed_runs.restype = kernel.advance.restype = None
     return kernel
-
-
-# ----------------------------------------------------------------------
-# CSV serialization.  Floats carry 17 significant digits so values
-# round-trip exactly.
-# ----------------------------------------------------------------------
-
-
-def _write_csv(path: str | Path, header: str, *columns: np.ndarray) -> None:
-    """Write header, then row i of the columns: integers as such, floats with
-    17 significant digits."""
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for i in range(0, len(columns[0]), _BLOCK_BUDGET):  # bounds the formatted lists
-            chunk = (c[i : i + _BLOCK_BUDGET].tolist() for c in columns)
-            fh.writelines(row % v for v in zip(*chunk))
-
-
-_TRAJECTORY_HEADERS = {
-    TrajectoryKind.ODE: "t,p1,q1", TrajectoryKind.SIMULATED: "step,p1,q1",
-    TrajectoryKind.ENSEMBLE_MEAN: "step,mean_p1,mean_q1",
-}
-
-
-def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
-    """Write a trajectory as CSV under its kind's header.  The engine's
-    steps are int64, so they print as integers; ODE times print as floats."""
-    _write_csv(path, _TRAJECTORY_HEADERS[traj.kind], traj.t, traj.x[:, 0], traj.x[:, 1])
-
-
-def write_error_table_csv(rows: Sequence[ErrorTableRow], path: str | Path) -> None:
-    """Write error-table rows as CSV: p_max,theta,error."""
-    cols = np.array([(r.p_max, r.theta, r.error) for r in rows], dtype=np.float64).reshape(-1, 3)
-    _write_csv(path, "p_max,theta,error", *cols.T)

@@ -163,6 +163,12 @@ def planar_root_oracle(
     vertical there and can cross w2 = 0 twice within one cell.  A root is
     kept only if its drift is tiny and its own q1 lies in the box; the q1 of
     the grid neighbours may not.
+
+    Games where w1 vanishes on a whole line p1 = const are out of its
+    reach.  Where A = 0 (r12 = r22 = 0), q1 = -a/b is 0 for every p1,
+    outside the box, so it returns no root at all; where B = 0 (r11 = r12,
+    r21 = r22), -a/b is undefined for every p1.  tests/test_dynamics.py checks fixed_points on such games
+    against a root bisected on that line instead.
     """
     p_min = 1.0 - p_max
     R = spec.R

@@ -7,7 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from barrier_la import JointState, dynamics, harness, mixed_equilibrium, vector_field
+from barrier_la import (
+    JointState, LearnerConfig, SimConfig, cli, dynamics, error_table, harness, integrate,
+    mixed_equilibrium, run_game, vector_field,
+)
 from barrier_la.cli import _build_parser, main
 
 
@@ -93,13 +96,16 @@ class TestClassifyCommand:
         assert 0.0 <= p_opt <= 1.0 and 0.0 <= q_opt <= 1.0
 
 
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    return next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+
+
 def test_documented_commands_match_the_parser():
     root = Path(__file__).resolve().parents[1]
     docs = "".join((root / f).read_text() for f in ("README.md", "docs/reproduce.md"))
-    subparsers = next(
-        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    assert set(re.findall(r"barrier-la ([a-z][a-z-]*)", docs)) == set(subparsers.choices)
+    assert set(re.findall(r"barrier-la ([a-z][a-z-]*)", docs)) == set(subcommands())
 
 
 def test_readme_quick_start_runs(capsys):
@@ -411,3 +417,73 @@ class TestOdeCommands:
         payload = json.loads(out)
         assert len(payload["points"]) == 1
         assert payload["points"][0]["x"] == pytest.approx([0.917, 0.040], abs=2e-3)
+
+
+class TestCsvOutput:
+    @pytest.mark.parametrize(
+        "argv, header, shape",
+        [
+            (("simulate", "--steps", "1000"), "step,p1,q1", (11, 3)),
+            (("ensemble", "--steps", "200", "--runs", "3"), "step,mean_p1,mean_q1", (3, 3)),
+            (
+                ("error-table", "--pmax-list", "0.99,0.95", "--theta-list", "0.05,0.1",
+                 "--steps", "200"),
+                "p_max,theta,error", (4, 3),
+            ),
+            (("ode-field", "--grid-n", "3"), "p1,q1,w1,w2", (9, 4)),
+            (("ode-trajectory", "--ode-step", "0.1", "--t-max", "1"), "t,p1,q1", (11, 3)),
+        ],
+        ids=["simulate", "ensemble", "error-table", "ode-field", "ode-trajectory"],
+    )
+    def test_header_and_shape(self, capsys, tmp_path, argv, header, shape):
+        out = tmp_path / "out.csv"
+        assert run_cli(capsys, *argv, "--preset", "case1", "--out", str(out)) == (0, "", "")
+        lines = out.read_text().splitlines()
+        assert lines[0] == header
+        assert np.loadtxt(lines[1:], delimiter=",", ndmin=2).shape == shape
+        assert header in subcommands()[argv[0]].format_help()
+
+    def test_trajectory_round_trip(self, capsys, tmp_path, case1, monkeypatch):
+        path = tmp_path / "traj.csv"
+        argv = ("simulate", "--preset", "case1", "--steps", "300")
+        assert run_cli(capsys, *argv, "--out", str(path))[0] == 0
+        with open(path) as fh:
+            rows = list(csv.reader(fh))
+        cfg = LearnerConfig(theta=0.01, p_max=0.99)
+        traj = run_game(SimConfig(case1, cfg, cfg, JointState(0.5, 0.5), 300, 42, 100))
+        got_t = [int(r[0]) for r in rows[1:]]
+        got_x = np.array([[float(r[1]), float(r[2])] for r in rows[1:]])
+        assert got_t == traj.t.tolist()
+        assert np.array_equal(got_x, traj.x)  # 17 digits round-trip exactly
+        monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 3)  # 4 rows: a partial last chunk
+        assert run_cli(capsys, *argv, "--out", str(tmp_path / "chunked.csv"))[0] == 0
+        assert (tmp_path / "chunked.csv").read_bytes() == path.read_bytes()
+
+    def test_ode_path_round_trip(self, capsys, tmp_path, case1, monkeypatch):
+        path = tmp_path / "ode.csv"
+        argv = ("ode-trajectory", "--preset", "case1", "--p0", "0.9", "--q0", "0.1",
+                "--ode-step", "0.1", "--t-max", "1.0")
+        assert run_cli(capsys, *argv, "--out", str(path))[0] == 0
+        with open(path) as fh:
+            rows = list(csv.reader(fh))
+        traj = integrate(case1, JointState(0.9, 0.1), 0.99, step=0.1, t_max=1.0)
+        got = np.array(rows[1:], dtype=np.float64)
+        assert np.array_equal(got, np.column_stack([traj.t, traj.x]))  # floats round-trip
+        monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 3)  # 11 rows: a partial last chunk
+        assert run_cli(capsys, *argv, "--out", str(tmp_path / "chunked.csv"))[0] == 0
+        assert (tmp_path / "chunked.csv").read_bytes() == path.read_bytes()
+
+    def test_error_table_round_trip(self, capsys, tmp_path, case1):
+        path = tmp_path / "table.csv"
+        rc, _, _ = run_cli(
+            capsys, "error-table", "--preset", "case1", "--pmax-list", "0.99",
+            "--theta-list", "0.05", "--steps", "500", "--seed", "2",
+            "--target-p", "0.6667", "--target-q", "0.3333", "--out", str(path),
+        )
+        assert rc == 0
+        rows = error_table(case1, JointState(0.6667, 0.3333), [0.99], [0.05], steps=500, seed=2)
+        with open(path) as fh:
+            parsed = list(csv.DictReader(fh))
+        assert len(parsed) == 1
+        assert float(parsed[0]["error"]) == rows[0].error
+        assert float(parsed[0]["p_max"]) == 0.99

@@ -16,7 +16,6 @@ from barrier_la import (
     Stability,
     StepTooLarge,
     Trajectory,
-    TrajectoryKind,
     fixed_points,
     integrate,
     jacobian,
@@ -79,7 +78,26 @@ def array_integrate_oracle(spec, x0, p_max, step, t_max):
         x = check(x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         ts.append(i * step)
         xs.append(x.copy())
-    return Trajectory(TrajectoryKind.ODE, np.array(ts), np.array(xs))
+    return Trajectory(np.array(ts), np.array(xs))
+
+
+def fixed_points_on_a_w1_line(spec, p_max):
+    """fixed_points of a game whose w1 vanishes, for every q1 in the box, on
+    the line through the one p1 where w1(., 0.5) changes sign.  Checks that
+    each point lies on that bisected line and that there are as many as
+    sign changes of w2 along it; planar_root_oracle cannot see such games."""
+    p_min = 1.0 - p_max
+    p_star = bisect_root(lambda p: drift_from_entries(spec, p, 0.5, p_max)[0], p_min, p_max)
+    grid = np.linspace(p_min, p_max, 10_001)
+    w2 = drift_from_entries(spec, p_star, grid, p_max)[1]
+    sign_changes = int(np.count_nonzero(w2[:-1] * w2[1:] < 0))
+    pts = fixed_points(spec, p_max)
+    assert sign_changes >= 1
+    assert len(pts) == sign_changes
+    for fp in pts:
+        assert fp.x.p1 == pytest.approx(p_star, abs=1e-9)
+        assert fp.drift_norm <= 1e-12
+    return pts
 
 
 def oracle_label(spec, p1, q1, p_max):
@@ -188,7 +206,6 @@ class TestIntegrate:
     def test_fixed_point_start_is_constant(self, case1):
         fp = stable_points(case1, 0.99)[0]
         traj = integrate(case1, fp.x, 0.99)
-        assert traj.kind is TrajectoryKind.ODE
         assert len(traj) == 1
         assert traj.x[0] == pytest.approx([fp.x.p1, fp.x.q1])
 
@@ -335,21 +352,20 @@ class TestFixedPoints:
         # c2 A^2 and every fixed point sits on the line A(p1) = 0, where
         # w1 vanishes for every q1 and w2(p1, .) is a quadratic
         spec = GameSpec(Model.P, PayoffMatrix(0.6, 0.6, 0.3, 0.3), PayoffMatrix(0.2, 0.7, 0.5, 0.4))
-        p_max = 0.99
-        p_min = 1.0 - p_max
-        p_star = bisect_root(
-            lambda p: drift_from_entries(spec, p, 0.5, p_max)[0], p_min, p_max
-        )
-        grid = np.linspace(p_min, p_max, 10_001)
-        w2 = drift_from_entries(spec, p_star, grid, p_max)[1]
-        sign_changes = int(np.count_nonzero(w2[:-1] * w2[1:] < 0))
-        pts = fixed_points(spec, p_max)
-        assert sign_changes >= 1
-        assert len(pts) == sign_changes
-        for fp in pts:
-            assert fp.x.p1 == pytest.approx(p_star, abs=1e-9)
-            assert fp.drift_norm <= 1e-12
+        for fp in fixed_points_on_a_w1_line(spec, 0.99):
             assert fp.jacobian[0, 1] == 0.0
+
+    def test_w1_proportional_to_q1(self):
+        # r12 = r22 = 0: A = 0, so w1 = q1 B(p1) and the resultant is c0 B^2.
+        # In the box every fixed point sits on the line B(p1) = 0, a common
+        # root of A and B with |A| exactly 0 there, which only the
+        # quadratic branch of _candidates finds
+        spec = GameSpec(
+            Model.P, PayoffMatrix(0.25, 0.0, 0.75, 0.0), PayoffMatrix(0.75, 0.75, 1.0, 0.0)
+        )
+        (fp,) = fixed_points_on_a_w1_line(spec, 0.99)
+        assert fp.stability is Stability.STABLE
+        assert (fp.x.p1, fp.x.q1) == pytest.approx((0.014924, 0.989888), abs=1e-6)
 
     def test_vanishing_resultant_is_degenerate(self):
         # a zero R makes w1 vanish everywhere: a whole curve of fixed points
@@ -386,14 +402,8 @@ class TestBarrierContainment:
 class TestTrajectoryType:
     def test_rejects_decreasing_times(self):
         with pytest.raises(ValueError):
-            Trajectory(
-                TrajectoryKind.ODE,
-                np.array([0.0, 1.0, 0.5]),
-                np.full((3, 2), 0.5),
-            )
+            Trajectory(np.array([0.0, 1.0, 0.5]), np.full((3, 2), 0.5))
 
     def test_rejects_states_outside_unit_square(self):
         with pytest.raises(ValueError):
-            Trajectory(
-                TrajectoryKind.ODE, np.array([0.0, 1.0]), np.array([[0.5, 0.5], [1.2, 0.5]])
-            )
+            Trajectory(np.array([0.0, 1.0]), np.array([[0.5, 0.5], [1.2, 0.5]]))

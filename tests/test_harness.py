@@ -1,5 +1,4 @@
 import contextlib
-import csv
 import dataclasses
 import math
 import os
@@ -22,17 +21,13 @@ from barrier_la import (
     PayoffMatrix,
     SimConfig,
     Trajectory,
-    TrajectoryKind,
     basin_split,
     error_table,
-    integrate,
     mixed_equilibrium,
     run_ensemble,
     run_game,
     steady_state_error,
     terminal_states,
-    write_error_table_csv,
-    write_trajectory_csv,
 )
 from barrier_la import harness
 from barrier_la.harness import _load_kernel, _simulate
@@ -191,7 +186,6 @@ class TestRunEnsemble:
         c = make_config(case1, steps=800)
         solo = run_game(c)
         ens = run_ensemble(c, runs=1)
-        assert ens.kind is TrajectoryKind.ENSEMBLE_MEAN
         assert np.array_equal(ens.x, solo.x)
 
     @pytest.mark.parametrize("model", [Model.P, Model.S])
@@ -370,28 +364,22 @@ class TestRunSlices:
 
 class TestSteadyStateError:
     def test_constant_trajectory_at_target(self):
-        traj = Trajectory(
-            TrajectoryKind.SIMULATED,
-            np.arange(10),
-            np.tile([0.3, 0.7], (10, 1)),
-        )
+        traj = Trajectory(np.arange(10), np.tile([0.3, 0.7], (10, 1)))
         assert steady_state_error(traj, JointState(0.3, 0.7)) == 0.0
 
     def test_offset_is_euclidean(self):
-        traj = Trajectory(
-            TrajectoryKind.SIMULATED, np.arange(5), np.tile([0.8, 0.9], (5, 1))
-        )
+        traj = Trajectory(np.arange(5), np.tile([0.8, 0.9], (5, 1)))
         assert steady_state_error(traj, JointState(0.5, 0.5)) == pytest.approx(0.5)
 
     def test_uses_last_ten_percent_of_samples(self):
         x = np.tile([0.1, 0.1], (100, 1))
         x[-10:] = [0.6, 0.6]
-        traj = Trajectory(TrajectoryKind.SIMULATED, np.arange(100), x)
+        traj = Trajectory(np.arange(100), x)
         assert steady_state_error(traj, JointState(0.6, 0.6)) == pytest.approx(0.0)
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError, match="n >= 1"):
-            Trajectory(TrajectoryKind.SIMULATED, np.array([]), np.empty((0, 2)))
+            Trajectory(np.array([]), np.empty((0, 2)))
 
 
 class TestErrorTable:
@@ -486,58 +474,11 @@ class TestBasinSplit:
 
 
 class TestCsvOutput:
-    def test_trajectory_round_trip(self, tmp_path, case1):
-        traj = run_game(make_config(case1, steps=300))
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["step", "p1", "q1"]
-        got_t = [int(r[0]) for r in rows[1:]]
-        got_x = np.array([[float(r[1]), float(r[2])] for r in rows[1:]])
-        assert got_t == traj.t.tolist()
-        assert np.array_equal(got_x, traj.x)  # 17 digits round-trip exactly
-        with mock.patch.object(harness, "_BLOCK_BUDGET", 3):  # 4 rows: a partial last chunk
-            write_trajectory_csv(traj, tmp_path / "chunked.csv")
-        assert (tmp_path / "chunked.csv").read_bytes() == path.read_bytes()
-
-    def test_ode_path_round_trip(self, tmp_path, case1):
-        traj = integrate(case1, JointState(0.9, 0.1), 0.99, step=0.1, t_max=1.0)
-        path = tmp_path / "ode.csv"
-        write_trajectory_csv(traj, path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["t", "p1", "q1"]
-        got = np.array(rows[1:], dtype=np.float64)
-        assert np.array_equal(got, np.column_stack([traj.t, traj.x]))  # floats round-trip
-        with mock.patch.object(harness, "_BLOCK_BUDGET", 3):  # 11 rows: a partial last chunk
-            write_trajectory_csv(traj, tmp_path / "chunked.csv")
-        assert (tmp_path / "chunked.csv").read_bytes() == path.read_bytes()
-
     def test_engine_steps_are_int64(self, case1):
-        # the writer prints int64 steps with %d, so no cast is needed
+        # the CLI's CSV writer prints int64 steps with %d, so no cast is needed
         c = make_config(case1, steps=250)
         assert run_game(c).t.dtype == np.int64
         assert run_ensemble(c, runs=2).t.dtype == np.int64
-
-    def test_ensemble_header(self, tmp_path, case1):
-        traj = run_ensemble(make_config(case1, steps=100), runs=2)
-        path = tmp_path / "ens.csv"
-        write_trajectory_csv(traj, path)
-        with open(path) as fh:
-            assert fh.readline().strip() == "step,mean_p1,mean_q1"
-
-    def test_error_table_round_trip(self, tmp_path, case1):
-        rows = error_table(
-            case1, JointState(0.6667, 0.3333), [0.99], [0.05], steps=500, seed=2,
-        )
-        path = tmp_path / "table.csv"
-        write_error_table_csv(rows, path)
-        with open(path) as fh:
-            parsed = list(csv.DictReader(fh))
-        assert len(parsed) == 1
-        assert float(parsed[0]["error"]) == rows[0].error
-        assert float(parsed[0]["p_max"]) == 0.99
 
 
 class TestKernelCache:
