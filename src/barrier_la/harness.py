@@ -10,14 +10,10 @@ in a fixed order:
     u2: player A feedback draw      u3: player B feedback draw
 
 P-model games consume all four draws per step, S-model games only the two
-action draws.  One driver, _simulate, advances every run through one C
-kernel, compiled on first use, which carries its own port of numpy's
-SeedSequence and PCG64.  Simulating requires a C compiler with ``unsigned
-__int128`` (gcc or clang); without one, _load_kernel raises OSError.
-_simulate splits the runs of each block into one contiguous slice per
-usable core and advances the slices on threads at once.  Since each run
-owns its stream and its output slots, results do not depend on the thread
-count or on execution order.
+action draws.  The results depend on nothing else: not on how the steps
+are cut into blocks, nor on the number of threads or the order they run
+in.  Simulating requires a C compiler with ``unsigned __int128`` (gcc or
+clang); without one, _load_kernel raises OSError.
 """
 
 from __future__ import annotations
@@ -203,19 +199,19 @@ def basin_split(
 
 
 # ----------------------------------------------------------------------
-# Engine internals.  _simulate seeds every run with the C kernel's seed_runs,
-# a port of numpy's PCG64(seed ^ k) seeding, and drives them through its
-# advance() one (records, 2, runs) block at a time.  Every constant advance
-# reads, theta included, is in one (5, 4) table that _simulate builds (its
-# layout, and why the P-model reward is a table read, are at advance).
-# advance only indexes it and applies p <- p + f*(t - p), the same IEEE-754
-# operations as the tests' one-draw-at-a-time reference loop on numpy's own
-# generator.  -ffp-contract=off (never -ffast-math) keeps C from fusing a
-# product into the following sum.  _in_slices cuts each block's runs into
-# one contiguous slice per usable core and runs the slices on threads at
-# once, as ctypes releases the GIL.  A call touches only its own runs' state
-# and slots, so any thread count gives the same bytes.  Seeding and the
-# ensemble mean stay on one thread.
+# Engine internals.  The C kernel, compiled on first use, carries its own
+# port of numpy's SeedSequence and PCG64: _simulate seeds every run with its
+# seed_runs and drives them through its advance() one (records, 2, runs)
+# block at a time.  Every constant advance reads, theta included, is in one
+# (5, 4) table that _simulate builds (its layout, and why the P-model reward
+# is a table read, are at advance).  advance only indexes it and applies
+# p <- p + f*(t - p), the same IEEE-754 operations as the tests'
+# one-draw-at-a-time reference loop on numpy's own generator.
+# -ffp-contract=off (never -ffast-math) keeps C from fusing a product into
+# the following sum.  _in_slices cuts each block's runs into one contiguous
+# slice per usable core and runs the slices on threads at once, as ctypes
+# releases the GIL; a call touches only its own runs' state and output
+# slots.  Seeding and the ensemble mean stay on one thread.
 # ----------------------------------------------------------------------
 
 
@@ -407,13 +403,15 @@ _CC = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
 def _load_kernel():
     """The kernel library (seed_runs and advance).  Cached as
     $XDG_CACHE_HOME/barrier_la/kernel-<sha256 of compile command and
-    source>.so (default ~/.cache); later processes only load it.  Raises
+    source>.so (~/.cache when the variable is unset, empty or relative, as
+    the XDG Base Directory spec asks); later processes only load it.  Raises
     OSError naming the compile command, the cache path and the cause when
     it can be neither built nor loaded.  Imports are local so commands
     without Monte Carlo skip them."""
     import hashlib
     digest = hashlib.sha256((" ".join(_CC) + _KERNEL_C).encode()).hexdigest()
-    cache = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "barrier_la")
+    xdg = os.environ.get("XDG_CACHE_HOME", "")
+    cache = Path(xdg if os.path.isabs(xdg) else os.path.expanduser("~/.cache"), "barrier_la")
     so = cache / f"kernel-{digest}.so"
     try:
         if not so.exists():

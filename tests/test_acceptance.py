@@ -34,7 +34,6 @@ from barrier_la import (
     JointState,
     LearnerConfig,
     Model,
-    PayoffMatrix,
     SimConfig,
     Stability,
     basin_split,
@@ -51,7 +50,10 @@ from barrier_la import (
     vector_field,
 )
 
-from conftest import bisect_root, drift_from_entries, expected_increment_oracle, planar_root_oracle
+from conftest import (
+    drift_from_entries, drives_from_entries, expected_increment_oracle, fd_jacobian,
+    indifference_oracle, planar_root_oracle, random_game, stable_points,
+)
 
 CASE1 = preset("case1")
 CASE2 = preset("case2")
@@ -84,31 +86,6 @@ def spearman(x, y) -> float:
     return float((rx * ry).sum() / math.sqrt((rx * rx).sum() * (ry * ry).sum()))
 
 
-def grid_best_response_oracle(spec: GameSpec) -> tuple[float, float]:
-    """Locate the interior equilibrium by scanning each player's payoff gap
-    on a dense grid and bisecting the sign change; independent of the
-    closed-form equilibrium expressions."""
-
-    def gap_a(q):
-        return (q * spec.R.r11 + (1 - q) * spec.R.r12) - (
-            q * spec.R.r21 + (1 - q) * spec.R.r22
-        )
-
-    def gap_b(p):
-        return (p * spec.C.r11 + (1 - p) * spec.C.r21) - (
-            p * spec.C.r12 + (1 - p) * spec.C.r22
-        )
-
-    grid = np.linspace(0.0, 1.0, 1001)
-    ga = gap_a(grid)
-    gb = gap_b(grid)
-    ia = np.nonzero(np.sign(ga[:-1]) * np.sign(ga[1:]) <= 0)[0][0]
-    ib = np.nonzero(np.sign(gb[:-1]) * np.sign(gb[1:]) <= 0)[0][0]
-    q_opt = bisect_root(gap_a, grid[ia], grid[ia + 1])
-    p_opt = bisect_root(gap_b, grid[ib], grid[ib + 1])
-    return p_opt, q_opt
-
-
 def ode_predicted_fractions(spec: GameSpec, x0: JointState, p_max: float, points):
     """Basin fractions predicted by the mean ODE (the ODE method of stochastic
     approximation): all runs end at the stable point that the RK4 path from
@@ -121,10 +98,6 @@ def ode_predicted_fractions(spec: GameSpec, x0: JointState, p_max: float, points
     return tuple(float(i == k) for i in range(len(points)))
 
 
-def stable_of(spec: GameSpec, p_max: float):
-    return [fp for fp in fixed_points(spec, p_max) if fp.stability is Stability.STABLE]
-
-
 def test_criterion_01_mixed_equilibrium_formulas():
     rng = np.random.default_rng(10007)
     t0 = time.perf_counter()
@@ -132,7 +105,7 @@ def test_criterion_01_mixed_equilibrium_formulas():
     worst_gap = 0.0
     worst_oracle = 0.0
     while n_checked < 1000:
-        spec = GameSpec(Model.P, PayoffMatrix(*rng.random(4)), PayoffMatrix(*rng.random(4)))
+        spec = random_game(rng)
         try:
             kind = classify(spec)
         except DegenerateGame:
@@ -140,12 +113,9 @@ def test_criterion_01_mixed_equilibrium_formulas():
         if kind is CaseKind.SINGLE_PURE:
             continue
         p_opt, q_opt = mixed_equilibrium(spec)
-        d1a = q_opt * spec.R.r11 + (1 - q_opt) * spec.R.r12
-        d2a = q_opt * spec.R.r21 + (1 - q_opt) * spec.R.r22
-        d1b = p_opt * spec.C.r11 + (1 - p_opt) * spec.C.r21
-        d2b = p_opt * spec.C.r12 + (1 - p_opt) * spec.C.r22
+        d1a, d2a, d1b, d2b = drives_from_entries(spec, p_opt, q_opt)
         worst_gap = max(worst_gap, abs(d1a - d2a), abs(d1b - d2b))
-        p_ref, q_ref = grid_best_response_oracle(spec)
+        p_ref, q_ref = indifference_oracle(spec)
         worst_oracle = max(worst_oracle, abs(p_opt - p_ref), abs(q_opt - q_ref))
         n_checked += 1
     dt = time.perf_counter() - t0
@@ -182,18 +152,12 @@ def test_criterion_02_drift_oracle():
 def test_criterion_03_jacobian_finite_differences():
     t0 = time.perf_counter()
     rng = np.random.default_rng(424243)
-    h = 1e-6
     worst = 0.0
     for spec in (CASE1, CASE2, CASE3):
         for _ in range(100):
             x = JointState(rng.random(), rng.random())
             jac = jacobian(spec, x, 0.99)
-            fd = np.empty((2, 2))
-            for j, (dp, dq) in enumerate(((h, 0.0), (0.0, h))):
-                wp = vector_field(spec, JointState(x.p1 + dp, x.q1 + dq), 0.99)
-                wm = vector_field(spec, JointState(x.p1 - dp, x.q1 - dq), 0.99)
-                fd[0, j] = (wp.w1 - wm.w1) / (2 * h)
-                fd[1, j] = (wp.w2 - wm.w2) / (2 * h)
+            fd = fd_jacobian(spec, x, 0.99)
             rel = np.linalg.norm(fd - jac) / max(np.linalg.norm(jac), 1e-12)
             worst = max(worst, rel)
     dt = time.perf_counter() - t0
@@ -237,8 +201,8 @@ def test_criterion_04_error_table_reproduction():
 
 def test_criterion_05_case2_fixed_point():
     t0 = time.perf_counter()
-    pts_99 = stable_of(CASE2, 0.99)
-    pts_999 = stable_of(CASE2, 0.999)
+    pts_99 = stable_points(CASE2, 0.99)
+    pts_999 = stable_points(CASE2, 0.999)
     ok = (
         len(pts_99) == 1
         and abs(pts_99[0].x.p1 - 0.917) <= 2e-3
@@ -276,10 +240,10 @@ def test_criterion_06_case3_fixed_points():
     for p_max, (hi_ref, lo_ref) in reference.items():
         pts = fixed_points(CASE3, p_max)
         roots = planar_root_oracle(CASE3, p_max)
-        labels = [fp.stability for fp in pts]
+        labels = tuple(fp.stability for fp in pts)
         structure_ok = (
             structure_ok
-            and labels == [Stability.STABLE, Stability.SADDLE, Stability.STABLE]
+            and labels == (Stability.STABLE, Stability.SADDLE, Stability.STABLE)
             and pts[1].det < 0
             and len(roots) == 3
         )
@@ -334,7 +298,7 @@ def test_criterion_08_s_learning():
     single_ok = True
     for name, spec in (("case1", CASE1), ("case2", CASE2)):
         s_spec = spec.with_model(Model.S)
-        fp = stable_of(spec, 0.99)[0]
+        fp = stable_points(spec, 0.99)[0]
         c = SimConfig(s_spec, cfg, cfg, JointState(0.5, 0.5), 2_000_000, 42, 100)
         term = run_game(c).terminal()
         dist = math.hypot(term.p1 - fp.x.p1, term.q1 - fp.x.q1)

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from barrier_la import (
-    JointState, LearnerConfig, SimConfig, cli, dynamics, error_table, harness, integrate,
-    mixed_equilibrium, run_game, vector_field,
+    JointState, cli, dynamics, error_table, harness, integrate, mixed_equilibrium, run_game,
+    vector_field,
 )
 from barrier_la.cli import _build_parser, main
+
+from conftest import sim_config
 
 
 def run_cli(capsys, *argv):
@@ -240,15 +242,6 @@ class TestSimulateCommands:
             assert rc == 0
         assert a.read_text() != b.read_text()
 
-    def test_ensemble_header(self, capsys, tmp_path):
-        out = tmp_path / "e.csv"
-        rc, _, _ = run_cli(
-            capsys, "ensemble", "--preset", "case1", "--steps", "200",
-            "--runs", "3", "--out", str(out),
-        )
-        assert rc == 0
-        assert out.read_text().splitlines()[0] == "step,mean_p1,mean_q1"
-
     def test_error_table_csv(self, capsys, tmp_path):
         out = tmp_path / "t.csv"
         rc, _, _ = run_cli(
@@ -449,8 +442,7 @@ class TestCsvOutput:
         assert run_cli(capsys, *argv, "--out", str(path))[0] == 0
         with open(path) as fh:
             rows = list(csv.reader(fh))
-        cfg = LearnerConfig(theta=0.01, p_max=0.99)
-        traj = run_game(SimConfig(case1, cfg, cfg, JointState(0.5, 0.5), 300, 42, 100))
+        traj = run_game(sim_config(case1, steps=300))
         got_t = [int(r[0]) for r in rows[1:]]
         got_x = np.array([[float(r[1]), float(r[2])] for r in rows[1:]])
         assert got_t == traj.t.tolist()

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from barrier_la import (
     DegenerateGame,
-    GameSpec,
     JointState,
     LearnerConfig,
     Model,
-    PayoffMatrix,
     Stability,
     StepTooLarge,
     Trajectory,
@@ -28,24 +26,12 @@ from conftest import (
     bisect_root,
     drift_from_entries,
     expected_increment_oracle,
+    fd_jacobian,
+    game_of,
     planar_root_oracle,
     random_game,
+    stable_points,
 )
-
-
-def fd_jacobian(spec, x, p_max, h=1e-6):
-    """Central finite differences of the drift field."""
-    out = np.empty((2, 2))
-    for j, (dp, dq) in enumerate(((h, 0.0), (0.0, h))):
-        wp = vector_field(spec, JointState(x.p1 + dp, x.q1 + dq), p_max)
-        wm = vector_field(spec, JointState(x.p1 - dp, x.q1 - dq), p_max)
-        out[0, j] = (wp.w1 - wm.w1) / (2 * h)
-        out[1, j] = (wp.w2 - wm.w2) / (2 * h)
-    return out
-
-
-def stable_points(spec, p_max):
-    return [fp for fp in fixed_points(spec, p_max) if fp.stability is Stability.STABLE]
 
 
 def array_integrate_oracle(spec, x0, p_max, step, t_max):
@@ -297,8 +283,8 @@ class TestFixedPoints:
         """Two stable roots plus a saddle; locations are regression anchors
         verified independently by the drift norm and the integrator tests."""
         pts = fixed_points(case3, 0.999)
-        labels = [fp.stability for fp in pts]
-        assert labels == [Stability.STABLE, Stability.SADDLE, Stability.STABLE]
+        labels = tuple(fp.stability for fp in pts)
+        assert labels == (Stability.STABLE, Stability.SADDLE, Stability.STABLE)
         low, saddle, high = pts
         assert (low.x.p1, low.x.q1) == pytest.approx(
             (0.0015027598, 0.0020040090), abs=1e-8
@@ -351,7 +337,7 @@ class TestFixedPoints:
         # r11 = r12 and r21 = r22: w1 = A(p1) alone, so the resultant is
         # c2 A^2 and every fixed point sits on the line A(p1) = 0, where
         # w1 vanishes for every q1 and w2(p1, .) is a quadratic
-        spec = GameSpec(Model.P, PayoffMatrix(0.6, 0.6, 0.3, 0.3), PayoffMatrix(0.2, 0.7, 0.5, 0.4))
+        spec = game_of((0.6, 0.6, 0.3, 0.3), (0.2, 0.7, 0.5, 0.4))
         for fp in fixed_points_on_a_w1_line(spec, 0.99):
             assert fp.jacobian[0, 1] == 0.0
 
@@ -360,17 +346,14 @@ class TestFixedPoints:
         # In the box every fixed point sits on the line B(p1) = 0, a common
         # root of A and B with |A| exactly 0 there, which only the
         # quadratic branch of _candidates finds
-        spec = GameSpec(
-            Model.P, PayoffMatrix(0.25, 0.0, 0.75, 0.0), PayoffMatrix(0.75, 0.75, 1.0, 0.0)
-        )
+        spec = game_of((0.25, 0.0, 0.75, 0.0), (0.75, 0.75, 1.0, 0.0))
         (fp,) = fixed_points_on_a_w1_line(spec, 0.99)
         assert fp.stability is Stability.STABLE
         assert (fp.x.p1, fp.x.q1) == pytest.approx((0.014924, 0.989888), abs=1e-6)
 
     def test_vanishing_resultant_is_degenerate(self):
         # a zero R makes w1 vanish everywhere: a whole curve of fixed points
-        zero = PayoffMatrix(0.0, 0.0, 0.0, 0.0)
-        spec = GameSpec(Model.P, zero, PayoffMatrix(0.2, 0.7, 0.5, 0.4))
+        spec = game_of((0.0, 0.0, 0.0, 0.0), (0.2, 0.7, 0.5, 0.4))
         with pytest.raises(DegenerateGame):
             fixed_points(spec, 0.99)
 
@@ -384,7 +367,7 @@ class TestBarrierContainment:
         p_max=st.floats(0.9, 0.999),
     )
     def test_flow_points_inward_at_the_barriers(self, r, c, q1, p_max):
-        spec = GameSpec(Model.P, PayoffMatrix(*r), PayoffMatrix(*c))
+        spec = game_of(r, c)
         p_min = 1.0 - p_max
         w_lo = vector_field(spec, JointState(p_min, q1), p_max)
         w_hi = vector_field(spec, JointState(p_max, q1), p_max)

@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 from barrier_la import (
     CaseKind,
     DegenerateGame,
-    GameSpec,
     JointState,
-    LearnerConfig,
     Model,
     NotInSimplex,
     PayoffMatrix,
-    SimConfig,
     classify,
     equilibrium_report,
     mixed_equilibrium,
@@ -27,7 +24,9 @@ from barrier_la import (
 from barrier_la import harness
 from barrier_la.game import from_dict, load_game
 
-from conftest import random_game, sign_case_oracle
+from conftest import (
+    drives_from_entries, game_of, indifference_oracle, random_game, sign_case_oracle, sim_config,
+)
 
 # A valid interior game whose mixed point sits one ulp from the p = 1 edge.
 NEAR_TIE_R = (0.7200111192047169, 0.13290601045995287, 0.28897610525044326, 0.4831693166218948)
@@ -38,47 +37,12 @@ NEAR_TIE_C = (0.24372164064158708, 0.24372164064158705, 0.3464797884927627, 0.95
 TINY_AND_PLAIN = (0.0, 5e-324, 1e-323, 1e-300, 1e-200, 2e-200, 1e-160, 0.25, 0.5, 0.75, 1.0)
 
 
-def _drive_gap_a(spec: GameSpec, q1: float) -> float:
-    R = spec.R
-    d1 = q1 * R.r11 + (1 - q1) * R.r12
-    d2 = q1 * R.r21 + (1 - q1) * R.r22
-    return d1 - d2
-
-
-def _drive_gap_b(spec: GameSpec, p1: float) -> float:
-    C = spec.C
-    d1 = p1 * C.r11 + (1 - p1) * C.r21
-    d2 = p1 * C.r12 + (1 - p1) * C.r22
-    return d1 - d2
-
-
-def _bisect_indifference(gap, lo=0.0, hi=1.0, iters=100):
-    """Grid-bracketing plus bisection on a linear indifference gap."""
-    grid = np.linspace(lo, hi, 1001)
-    vals = [gap(g) for g in grid]
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            return grid[i]
-        if vals[i] * vals[i + 1] < 0:
-            a, b = grid[i], grid[i + 1]
-            fa = vals[i]
-            for _ in range(iters):
-                m = 0.5 * (a + b)
-                fm = gap(m)
-                if fa * fm <= 0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            return 0.5 * (a + b)
-    return None
-
-
 class TestPayoffMatrix:
     def test_rejects_entries_outside_unit_interval(self):
-        with pytest.raises(ValueError):
-            PayoffMatrix(1.2, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            PayoffMatrix(0.5, -0.1, 0.0, 0.0)
+        bad = [(u, 0.5, 0.5, 0.5) for u in (-0.1, 1.1, 1.2, 2.0)] + [(0.5, -0.1, 0.0, 0.0)]
+        for entries in bad:
+            with pytest.raises(ValueError):
+                PayoffMatrix(*entries)
 
     def test_entry_lookup(self):
         m = PayoffMatrix(0.1, 0.2, 0.3, 0.4)
@@ -102,11 +66,7 @@ class TestClassify:
         assert classify(case3) is CaseKind.TWO_PURE_ONE_MIXED
 
     def test_tied_row_payoffs_are_degenerate(self):
-        spec = GameSpec(
-            Model.P,
-            PayoffMatrix(0.4, 0.6, 0.4, 0.5),  # r11 == r21
-            PayoffMatrix(0.4, 0.25, 0.3, 0.6),
-        )
+        spec = game_of((0.4, 0.6, 0.4, 0.5), (0.4, 0.25, 0.3, 0.6))  # r11 == r21
         with pytest.raises(DegenerateGame):
             classify(spec)
 
@@ -121,8 +81,8 @@ class TestClassify:
             t = rng.choice(TINY_AND_PLAIN, 8)
             for game in (
                 spec,
-                GameSpec(Model.P, PayoffMatrix(*r * 1e-200), PayoffMatrix(*c * 1e-200)),
-                GameSpec(Model.P, PayoffMatrix(*t[:4]), PayoffMatrix(*t[4:])),
+                game_of(r * 1e-200, c * 1e-200),
+                game_of(t[:4], t[4:]),
             ):
                 want = sign_case_oracle(game)
                 if want is None:
@@ -146,8 +106,7 @@ class TestMixedEquilibrium:
     def test_case3_preset_values(self, case3):
         # Independent check: solve both indifference conditions directly.
         p_opt, q_opt = mixed_equilibrium(case3)
-        p_oracle = _bisect_indifference(lambda p: _drive_gap_b(case3, p))
-        q_oracle = _bisect_indifference(lambda q: _drive_gap_a(case3, q))
+        p_oracle, q_oracle = indifference_oracle(case3)
         assert p_opt == pytest.approx(p_oracle, abs=1e-9)
         assert q_opt == pytest.approx(q_oracle, abs=1e-9)
         assert (p_opt, q_opt) == pytest.approx((0.5, 2.0 / 3.0), abs=1e-12)
@@ -160,7 +119,7 @@ class TestMixedEquilibrium:
     def test_near_tie_game_stays_in_the_simplex(self):
         # c11 and c12 differ by one ulp; dividing by L' rounded p_opt to
         # 1.0000000000000002
-        spec = GameSpec(Model.P, PayoffMatrix(*NEAR_TIE_R), PayoffMatrix(*NEAR_TIE_C))
+        spec = game_of(NEAR_TIE_R, NEAR_TIE_C)
         assert classify(spec) is CaseKind.TWO_PURE_ONE_MIXED
         p_opt, q_opt = mixed_equilibrium(spec)
         assert 0.0 <= p_opt <= 1.0 and 0.0 <= q_opt <= 1.0
@@ -178,8 +137,9 @@ class TestMixedEquilibrium:
             if kind is CaseKind.SINGLE_PURE:
                 continue
             p_opt, q_opt = mixed_equilibrium(spec)
-            assert abs(_drive_gap_a(spec, q_opt)) < 1e-12
-            assert abs(_drive_gap_b(spec, p_opt)) < 1e-12
+            d1a, d2a, d1b, d2b = drives_from_entries(spec, p_opt, q_opt)
+            assert abs(d1a - d2a) < 1e-12
+            assert abs(d1b - d2b) < 1e-12
             assert 0.0 < p_opt < 1.0 and 0.0 < q_opt < 1.0
             checked += 1
 
@@ -195,11 +155,7 @@ class TestPureEquilibria:
         assert pure_equilibria(case3) == [JointState(1.0, 1.0), JointState(0.0, 0.0)]
 
     def test_tie_raises(self):
-        spec = GameSpec(
-            Model.P,
-            PayoffMatrix(0.4, 0.6, 0.4, 0.5),
-            PayoffMatrix(0.4, 0.25, 0.3, 0.6),
-        )
+        spec = game_of((0.4, 0.6, 0.4, 0.5), (0.4, 0.25, 0.3, 0.6))
         with pytest.raises(DegenerateGame):
             pure_equilibria(spec)
 
@@ -219,40 +175,35 @@ class TestEquilibriumReport:
         assert report.L_prime == pytest.approx(0.45)
 
 
-def simulate(spec, steps, seed=0, theta=0.01):
-    """Recorded states (steps + 1, 2) of one run from (0.5, 0.5) at p_max = 0.99, stride 1."""
-    cfg = LearnerConfig(theta=theta, p_max=0.99)
-    return run_game(SimConfig(spec, cfg, cfg, JointState(0.5, 0.5), steps, seed, 1)).x
-
-
 def constant_game(model, r, c):
-    return GameSpec(model, PayoffMatrix(r, r, r, r), PayoffMatrix(c, c, c, c))
+    return game_of((r,) * 4, (c,) * 4, model)
 
 
 class TestSampleFeedback:
     """P-model feedback as the engine samples it: a reward moves a player."""
 
     def test_certain_reward_and_certain_penalty(self):
-        x = simulate(constant_game(Model.P, 1.0, 0.0), 200)
+        x = run_game(sim_config(constant_game(Model.P, 1.0, 0.0), steps=200, stride=1)).x
         assert (x[1:, 0] != x[:-1, 0]).all()
         assert (x[:, 1] == 0.5).all()
 
     def test_empirical_reward_rate(self):
         n = 200_000
-        x = simulate(constant_game(Model.P, 0.6, 0.3), n, seed=20240601, theta=0.001)
+        c = sim_config(constant_game(Model.P, 0.6, 0.3), 0.001, steps=n, seed=20240601, stride=1)
+        x = run_game(c).x
         rates = np.count_nonzero(x[1:] != x[:-1], axis=0) / n
         assert rates[0] == pytest.approx(0.6, abs=3 * np.sqrt(0.6 * 0.4 / n))  # 3 sigma
         assert rates[1] == pytest.approx(0.3, abs=3 * np.sqrt(0.3 * 0.7 / n))
 
     def test_fixed_seed_is_reproducible(self, case1, monkeypatch):
         # the draws are one continuous stream per seed, whatever the blocking
-        want = simulate(case1, 500, seed=97)
+        c = sim_config(case1, steps=500, seed=97, stride=1)
+        want = run_game(c).x
         monkeypatch.setattr(harness, "_BLOCK_BUDGET", 2)  # one record per kernel call
-        assert simulate(case1, 500, seed=97).tolist() == want.tolist()
+        assert run_game(c).x.tolist() == want.tolist()
 
     def test_block_boundaries_never_change_an_ensemble(self, case1, monkeypatch):
-        cfg = LearnerConfig(theta=0.01, p_max=0.99)
-        c = SimConfig(case1, cfg, cfg, JointState(0.5, 0.5), 500, 97, 7)
+        c = sim_config(case1, steps=500, seed=97, stride=7)
         want = run_ensemble(c, 40).x, terminal_states(c, 40)
         monkeypatch.setattr(harness, "_BLOCK_BUDGET", 2 * 40 * 5)  # 5 of the 73 records per call
         assert np.array_equal(run_ensemble(c, 40).x, want[0])
@@ -260,7 +211,8 @@ class TestSampleFeedback:
 
     def test_draw_order_is_a_then_b(self):
         # per step: action draws u0, u1, then reward draws u2 for A, u3 for B
-        x = simulate(constant_game(Model.P, 0.6, 0.3), 50, seed=5, theta=0.1)
+        c = sim_config(constant_game(Model.P, 0.6, 0.3), 0.1, steps=50, seed=5, stride=1)
+        x = run_game(c).x
         u = np.random.default_rng(5).random(200).reshape(50, 4)
         assert ((x[1:] != x[:-1]) == (u[:, 2:] < [0.6, 0.3])).all()
 
@@ -271,7 +223,7 @@ class TestDeterministicFeedback:
     @staticmethod
     def first_step(spec, seed):
         a, b = np.where(np.random.default_rng(seed).random(2) < 0.5, 1, 2)
-        p, q = simulate(spec, 1, seed=seed, theta=0.1)[1]
+        p, q = run_game(sim_config(spec, 0.1, steps=1, seed=seed)).x[1]
         assert p == pytest.approx(0.5 + 0.1 * spec.R.entry(a, b) * (0.49 if a == 1 else -0.49))
         assert q == pytest.approx(0.5 + 0.1 * spec.C.entry(a, b) * (0.49 if b == 1 else -0.49))
         return a, b
@@ -317,7 +269,7 @@ class TestJsonInterface:
 @example(r=list(NEAR_TIE_R), c=list(NEAR_TIE_C))
 @example(r=[1e-200, 0.0, 0.0, 1e-200], c=[1e-200, 0.0, 0.0, 1e-200])  # gap products underflow
 def test_report_invariants_on_arbitrary_games(r, c):
-    spec = GameSpec(Model.P, PayoffMatrix(*r), PayoffMatrix(*c))
+    spec = game_of(r, c)
     want = sign_case_oracle(spec)
     if want is None:
         with pytest.raises(DegenerateGame):

@@ -13,12 +13,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from barrier_la import (
-    GameSpec,
     JointState,
     LearnerConfig,
     Model,
     NotCase3,
-    PayoffMatrix,
     SimConfig,
     Trajectory,
     basin_split,
@@ -32,7 +30,7 @@ from barrier_la import (
 from barrier_la import harness
 from barrier_la.harness import _load_kernel, _simulate
 
-from conftest import reference_loop
+from conftest import game_of, reference_loop, sim_config
 
 
 @st.composite
@@ -50,7 +48,7 @@ def sim_configs(draw, model):
     )
     assume(cfg_a != cfg_b)
     x0 = JointState(*(draw(st.floats(g.p_min, g.p_max)) for g in (cfg_a, cfg_b)))
-    spec = GameSpec(model, PayoffMatrix(*entries[:4]), PayoffMatrix(*entries[4:]))
+    spec = game_of(entries[:4], entries[4:], model)
     steps = draw(st.integers(0, 300))
     stride = draw(st.integers(1, 40))
     seed = draw(st.integers(0, 2**64 - 1))
@@ -65,25 +63,20 @@ def usable_cores(n):
         yield
 
 
-def make_config(spec, theta=0.01, p_max=0.99, steps=500, seed=42, stride=100, x0=(0.5, 0.5)):
-    cfg = LearnerConfig(theta=theta, p_max=p_max)
-    return SimConfig(spec, cfg, cfg, JointState(*x0), steps, seed, stride)
-
-
 class TestRunGame:
     def test_zero_steps_returns_initial_state(self, case1):
-        traj = run_game(make_config(case1, steps=0))
+        traj = run_game(sim_config(case1, steps=0))
         assert len(traj) == 1
         assert traj.t[0] == 0
         assert traj.x[0] == pytest.approx([0.5, 0.5])
 
     def test_identical_config_identical_bits(self, case1):
-        a = run_game(make_config(case1, steps=2000))
-        b = run_game(make_config(case1, steps=2000))
+        a = run_game(sim_config(case1, steps=2000))
+        b = run_game(sim_config(case1, steps=2000))
         assert np.array_equal(a.x, b.x) and np.array_equal(a.t, b.t)
 
     def test_recording_grid_includes_final_step(self, case1):
-        traj = run_game(make_config(case1, steps=250, stride=100))
+        traj = run_game(sim_config(case1, steps=250, stride=100))
         assert traj.t.tolist() == [0, 100, 200, 250]
 
     @pytest.mark.parametrize("model", [Model.P, Model.S])
@@ -92,17 +85,19 @@ class TestRunGame:
     def test_engine_matches_composed_learner_loop(self, model, data):
         """On any game, learning rates, barriers (p_max = 1 included), start
         state and stride, the engine is bit-identical to reference_loop,
-        which applies the paper's update one uniform draw at a time."""
+        which applies the paper's update one uniform draw at a time, and
+        each player's states stay inside its own [p_min, p_max]."""
         c = data.draw(sim_configs(model))
         traj = run_game(c)
         ref = reference_loop(c)
         assert traj.t.tolist() == [r[0] for r in ref]
         assert traj.x.tolist() == [[r[1], r[2]] for r in ref]
+        for x, cfg in zip(traj.x.T, (c.cfg_a, c.cfg_b)):
+            assert cfg.p_min - 1e-12 <= x.min() and x.max() <= cfg.p_max + 1e-12
 
     def test_integer_payoff_entries(self):
         # the kernel reads its tables as doubles, whatever type the entries have
-        m = PayoffMatrix(1, 0, 0, 1)
-        c = make_config(GameSpec(Model.P, m, m), theta=0.1, steps=300, stride=1, seed=3)
+        c = sim_config(game_of((1, 0, 0, 1), (1, 0, 0, 1)), theta=0.1, steps=300, stride=1, seed=3)
         assert run_game(c).x.tolist() == [[r[1], r[2]] for r in reference_loop(c)]
 
     @pytest.mark.parametrize("game", ["case1", "zero_one"])
@@ -116,9 +111,7 @@ class TestRunGame:
         if game == "case1":
             spec, x0 = case1, JointState(*mixed_equilibrium(case1))
         else:
-            spec = GameSpec(
-                Model.P, PayoffMatrix(1.0, 0.0, 0.0, 1.0), PayoffMatrix(0.0, 1.0, 1.0, 0.0)
-            )
+            spec = game_of((1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0))
             x0 = JointState(0.5, 0.5)
         cfg_a, cfg_b = LearnerConfig(theta=0.01, p_max=0.99), LearnerConfig(theta=0.02, p_max=0.99)
         c = SimConfig(spec, cfg_a, cfg_b, x0, 20_000, 11, 1)
@@ -127,8 +120,8 @@ class TestRunGame:
     def test_p_entries_zero_and_one_never_and_always_reward(self):
         # A's entries are all 1.0, so p moves on every step; B's are all 0.0,
         # so q never leaves its start
-        spec = GameSpec(Model.P, PayoffMatrix(1.0, 1.0, 1.0, 1.0), PayoffMatrix(0.0, 0.0, 0.0, 0.0))
-        x = run_game(make_config(spec, steps=1000, stride=1, x0=(0.5, 0.3))).x
+        spec = game_of((1.0,) * 4, (0.0,) * 4)
+        x = run_game(sim_config(spec, steps=1000, stride=1, x0=(0.5, 0.3))).x
         assert np.all(np.diff(x[:, 0]) != 0.0)
         assert np.all(x[:, 1] == 0.3)
 
@@ -140,21 +133,20 @@ class TestRunGame:
         u = np.random.default_rng(5).random(4)
         if above:
             u = np.nextafter(u, 1.0)
-        spec = GameSpec(Model.P, PayoffMatrix(*[u[2]] * 4), PayoffMatrix(*[u[3]] * 4))
-        x = run_game(make_config(spec, steps=1, stride=1, seed=5)).x
+        spec = game_of([u[2]] * 4, [u[3]] * 4)
+        x = run_game(sim_config(spec, steps=1, stride=1, seed=5)).x
         assert (x[1] != x[0]).tolist() == [moves, moves]
 
     def test_states_stay_inside_barrier_box(self, case3):
-        c = make_config(case3, theta=0.2, p_max=0.93, steps=5000, stride=1)
+        c = sim_config(case3, theta=0.2, p_max=0.93, steps=5000, stride=1)
         traj = run_game(c)
         cfg = c.cfg_a
         assert traj.x.min() >= cfg.p_min - 1e-12
         assert traj.x.max() <= cfg.p_max + 1e-12
 
     def test_x0_outside_barriers_rejected(self, case1):
-        cfg = LearnerConfig(theta=0.1, p_max=0.9)
         with pytest.raises(ValueError, match="barrier"):
-            SimConfig(case1, cfg, cfg, JointState(0.95, 0.5), 10, 1)
+            sim_config(case1, 0.1, 0.9, steps=10, seed=1, x0=(0.95, 0.5))
 
     @pytest.mark.parametrize("field, value", [
         ("steps", 100.5), ("steps", "100"), ("record_stride", 7.5), ("seed", 3.7),
@@ -172,18 +164,18 @@ class TestRunGame:
         kwargs = {"stride" if field == "record_stride" else field: value}
         runs = kwargs.pop("runs", 2)
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
-            run_ensemble(make_config(case1, **kwargs), runs)
+            run_ensemble(sim_config(case1, **kwargs), runs)
 
     def test_numpy_integer_counts_run_as_ints(self, case1):
-        want = run_ensemble(make_config(case1, steps=300, seed=2**64 - 1, stride=7), 3)
-        c = make_config(case1, steps=np.int64(300), seed=np.uint64(2**64 - 1), stride=np.int32(7))
+        want = run_ensemble(sim_config(case1, steps=300, seed=2**64 - 1, stride=7), 3)
+        c = sim_config(case1, steps=np.int64(300), seed=np.uint64(2**64 - 1), stride=np.int32(7))
         got = run_ensemble(c, np.int64(3))
         assert got.t.tolist() == want.t.tolist() and got.x.tobytes() == want.x.tobytes()
 
 
 class TestRunEnsemble:
     def test_single_run_equals_run_game(self, case1):
-        c = make_config(case1, steps=800)
+        c = sim_config(case1, steps=800)
         solo = run_game(c)
         ens = run_ensemble(c, runs=1)
         assert np.array_equal(ens.x, solo.x)
@@ -212,18 +204,18 @@ class TestRunEnsemble:
             assert x[:, :, k].tolist() == [[r[1], r[2]] for r in ref]
 
     def test_mean_is_average_of_per_run_games(self, case1):
-        c = make_config(case1, steps=200, stride=100)
+        c = sim_config(case1, steps=200, stride=100)
         runs = 5
         ens = run_ensemble(c, runs)
         per_run = []
         for k in range(runs):
-            ck = make_config(case1, steps=200, stride=100, seed=c.seed ^ k)
+            ck = sim_config(case1, steps=200, stride=100, seed=c.seed ^ k)
             per_run.append(run_game(ck).x)
         assert ens.x == pytest.approx(np.mean(per_run, axis=0), abs=1e-15)
 
     def test_terminal_mean_stable_across_base_seeds(self, case1):
-        c1 = make_config(case1, theta=0.01, steps=20_000, seed=42, stride=20_000)
-        c2 = make_config(case1, theta=0.01, steps=20_000, seed=777, stride=20_000)
+        c1 = sim_config(case1, theta=0.01, steps=20_000, seed=42, stride=20_000)
+        c2 = sim_config(case1, theta=0.01, steps=20_000, seed=777, stride=20_000)
         m1 = run_ensemble(c1, 1000).x[-1]
         m2 = run_ensemble(c2, 1000).x[-1]
         assert np.abs(m1 - m2).max() < 0.02
@@ -241,10 +233,10 @@ class TestRunEnsemble:
             return _simulate(c, runs)
 
         monkeypatch.setattr(harness, "_simulate", spy)
-        got = [terminal_states(make_config(case1, steps=500, stride=s), 9).tobytes()
+        got = [terminal_states(sim_config(case1, steps=500, stride=s), 9).tobytes()
                for s in (1, 7, 500)]
         monkeypatch.setattr(harness, "_BLOCK_BUDGET", 2)  # one record per kernel call
-        got.append(terminal_states(make_config(case1, steps=500, stride=1), 9).tobytes())
+        got.append(terminal_states(sim_config(case1, steps=500, stride=1), 9).tobytes())
         assert got == [got[0]] * 4
         assert seen == [500] * 4
 
@@ -266,7 +258,7 @@ class TestRunEnsemble:
     def test_case2_mean_settles_just_inside_the_barriers(self, case2):
         # With a dominant strategy the ensemble parks next to the barrier
         # pair (p_max, p_min) rather than absorbing at the corner (1, 0).
-        c = make_config(case2, theta=0.01, p_max=0.999, steps=30_000, stride=30_000)
+        c = sim_config(case2, theta=0.01, p_max=0.999, steps=30_000, stride=30_000)
         m = run_ensemble(c, 1000).x[-1]
         assert math.hypot(m[0] - 0.999, m[1] - 0.001) < 0.05
 
@@ -318,7 +310,7 @@ class TestRunSlices:
         before = threading.active_count()
         with usable_cores(4), mock.patch.object(harness, "_load_kernel", lambda: kernel):
             with pytest.raises(RuntimeError, match=f"slice at run {fail_at}"):
-                list(_simulate(make_config(case1, steps=50), 8))
+                list(_simulate(sim_config(case1, steps=50), 8))
         assert threading.active_count() == before
 
     def test_workers_are_joined_when_the_callers_slice_raises(self, case1):
@@ -326,7 +318,7 @@ class TestRunSlices:
         before = threading.active_count()
         with usable_cores(4), mock.patch.object(harness, "_load_kernel", lambda: kernel):
             with pytest.raises(RuntimeError, match="slice at run 0"):
-                list(_simulate(make_config(case1, steps=50), 8))
+                list(_simulate(sim_config(case1, steps=50), 8))
         assert threading.active_count() == before
         assert sorted(r0 for r0, _ in kernel.done) == [2, 4, 6]  # every worker finished
 
@@ -335,7 +327,7 @@ class TestRunSlices:
         before = threading.active_count()
         with usable_cores(3), mock.patch.object(harness, "_load_kernel", lambda: kernel), \
                 mock.patch.object(harness, "_BLOCK_BUDGET", 6):  # one record per block
-            gen = _simulate(make_config(case1, steps=500, stride=100), 3)
+            gen = _simulate(sim_config(case1, steps=500, stride=100), 3)
             for _ in range(2):
                 next(gen)
                 assert threading.active_count() == before
@@ -348,7 +340,7 @@ class TestRunSlices:
         """Where os has no sched_getaffinity (macOS), _simulate slices by
         os.cpu_count(), or runs one slice when that is None, and the
         ensemble is the same bytes."""
-        c = make_config(case1, steps=300, stride=7)
+        c = sim_config(case1, steps=300, stride=7)
         want = [b.tobytes() for b in _simulate(c, 9)]
         monkeypatch.delattr(os, "sched_getaffinity")
         cuts = {}
@@ -394,8 +386,7 @@ class TestErrorTable:
             (0.99, 0.05), (0.99, 0.01), (0.95, 0.05), (0.95, 0.01)
         ]
         for row in rows:
-            cfg = LearnerConfig(theta=row.theta, p_max=row.p_max)
-            c = SimConfig(case1, cfg, cfg, JointState(0.5, 0.5), 2000, 9, 50)
+            c = sim_config(case1, row.theta, row.p_max, steps=2000, seed=9, stride=50)
             expected = steady_state_error(run_game(c), JointState(0.6667, 0.3333))
             assert row.error == expected
         assert rows == error_table(
@@ -447,8 +438,7 @@ class TestErrorTable:
         target = JointState(0.6667, 0.3333)
         errs = {}
         for theta, steps in ((0.001, 5_000_000), (0.0001, 20_000_000)):
-            cfg = LearnerConfig(theta=theta, p_max=0.998)
-            c = SimConfig(case1, cfg, cfg, JointState(0.5, 0.5), steps, 42, 100)
+            c = sim_config(case1, theta, 0.998, steps=steps)
             errs[theta] = steady_state_error(run_game(c), target)
         assert errs[0.0001] < 1.5 * errs[0.001]
 
@@ -476,7 +466,7 @@ class TestBasinSplit:
 class TestCsvOutput:
     def test_engine_steps_are_int64(self, case1):
         # the CLI's CSV writer prints int64 steps with %d, so no cast is needed
-        c = make_config(case1, steps=250)
+        c = sim_config(case1, steps=250)
         assert run_game(c).t.dtype == np.int64
         assert run_ensemble(c, runs=2).t.dtype == np.int64
 
@@ -502,8 +492,21 @@ class TestKernelCache:
         _load_kernel.cache_clear()
         monkeypatch.setattr(subprocess, "run", no_compiler)
         assert _load_kernel() is not None
-        c = make_config(case1, steps=300, stride=7)
+        c = sim_config(case1, steps=300, stride=7)
         assert run_game(c).x.tolist() == [[r[1], r[2]] for r in reference_loop(c)]
+
+    def test_relative_xdg_cache_home_is_ignored(self, tmp_path, monkeypatch, fresh_loader):
+        """A relative XDG_CACHE_HOME is not a base directory: the kernel goes
+        to $HOME/.cache/barrier_la and nothing appears in the working
+        directory."""
+        home, work = tmp_path / "home", tmp_path / "work"
+        work.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setenv("XDG_CACHE_HOME", "relcache")
+        monkeypatch.chdir(work)
+        assert _load_kernel() is not None
+        assert len(list((home / ".cache" / "barrier_la").glob("kernel-*.so"))) == 1
+        assert list(work.iterdir()) == []
 
     def test_kernel_source_compiles_without_warnings(self):
         # the loader compiles without warning flags; lint the same source
