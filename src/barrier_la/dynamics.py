@@ -3,7 +3,8 @@
 The expected one-step increment of the joint state X = (p1, q1), divided
 by the learning rate, defines a drift field W(X).  This module evaluates
 W and its analytic Jacobian, integrates the mean ODE dX/dt = W(X) with a
-fixed-step RK4 scheme on plain floats, and locates/classifies the fixed
+fixed-step RK4 scheme whose loop runs in the C kernel (kernel.rk4, the
+drift's operations in _field's order), and locates/classifies the fixed
 points of W exactly: w1 is linear in q1, so eliminating q1 leaves a
 degree-5 resultant in p1 whose real roots are the only candidates, each
 polished by Newton's method.
@@ -22,6 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .game import DegenerateGame, GameSpec, JointState
+from .kernel import _BLOCK_BUDGET, _load_kernel
 from .learner import _check_p_max
 
 DRIFT_STOP_TOL = 1e-10
@@ -32,6 +34,8 @@ STAGE_BOX = (-0.1, 1.1)
 STATE_TOL = 1e-9  # slack of the [0, 1]^2 check on trajectory states
 ROOT_SLACK = 1e-6  # imaginary part and box overshoot allowed for resultant roots
 COMMON_ROOT_TOL = 1e-6  # |A|, |B| relative to their coefficient sums at a common root
+# Why kernel.rk4 stopped, besides taking every step it was asked for
+_RK4_DRIFT_BELOW_TOL, _RK4_STAGE_LEFT_BOX, _RK4_STATE_LEFT_SQUARE = 1, 2, 3
 
 
 class StepTooLarge(ArithmeticError):
@@ -155,8 +159,14 @@ def integrate(
     StepTooLarge if any RK stage leaves the sanity box [-0.1, 1.1]^2 or an
     accepted state leaves [0, 1]^2, which indicates the step size is too
     coarse for the field, and ValueError unless step > 0, t_max >= 0 and
-    t_max / step are finite.  The state is two floats; each coordinate sees
-    the operations of the vector form k1 + 2 k2 + 2 k3 + k4 in that order.
+    t_max / step are finite.  The loop runs in the C kernel (rk4), so
+    computing a path needs a C compiler, as simulating does; without one
+    this raises OSError.  Each coordinate sees the operations of _field and
+    of the vector form k1 + 2 k2 + 2 k3 + k4 in that order, and the state
+    after step i is stamped i * step.  The stop test takes the norm with C's
+    hypot, which can differ from math.hypot by one ulp, so only a drift norm
+    within one ulp of 1e-10 could stop a step earlier or later than it would
+    with math.hypot.
     """
     _check_p_max(p_max)
     if not (0.0 < step < math.inf and t_max >= 0.0 and math.isfinite(t_max / step)):
@@ -164,33 +174,31 @@ def integrate(
             f"need a finite step > 0 and t_max >= 0 with finite t_max / step, "
             f"got step={step}, t_max={t_max}"
         )
-    lo, hi = STAGE_BOX
-
-    def stage(p: float, q: float) -> tuple[float, float]:
-        if not (lo <= p <= hi and lo <= q <= hi):
-            raise StepTooLarge(f"RK stage ({p}, {q}) left the box [{lo}, {hi}]^2")
-        return _field(spec, p, q, p_max)
-
-    h2 = 0.5 * step
-    h6 = step / 6.0
-    p, q = float(x0.p1), float(x0.q1)
-    ts = [0.0]
-    xs = [p, q]
+    R, C = spec.R, spec.C
+    tab = np.array([R.r11, R.r12, R.r21, R.r22, C.r11, C.r12, C.r21, C.r22,
+                    p_max, step, DRIFT_STOP_TOL, *STAGE_BOX, STATE_TOL], np.float64)
+    rk4 = _load_kernel().rk4
     n_steps = int(math.floor(t_max / step + 1e-9))
-    for i in range(1, n_steps + 1):
-        a1, b1 = _field(spec, p, q, p_max)
-        if math.hypot(a1, b1) < DRIFT_STOP_TOL:
+    rows = [np.array([[float(x0.p1), float(x0.q1)]])]
+    done, accepted = 0, np.empty(1, np.int64)
+    while True:  # one block of at most _BLOCK_BUDGET values per call
+        block = np.empty((min(n_steps - done, _BLOCK_BUDGET // 2 - 1) + 1, 2))
+        block[0] = rows[-1][-1]
+        stop = rk4(tab, len(block) - 1, block, accepted)
+        k = int(accepted[0])
+        rows.append(block[1 : k + 1])
+        done += k
+        if stop == _RK4_STAGE_LEFT_BOX:
+            lo, hi = STAGE_BOX
+            p, q = block[k + 1].tolist()
+            raise StepTooLarge(f"RK stage ({p}, {q}) left the box [{lo}, {hi}]^2")
+        if stop == _RK4_STATE_LEFT_SQUARE:
+            p, q = block[k + 1].tolist()
+            raise StepTooLarge(f"RK4 state ({p}, {q}) at t = {(done + 1) * step} left [0, 1]^2")
+        if stop == _RK4_DRIFT_BELOW_TOL or done == n_steps:
             break
-        a2, b2 = stage(p + h2 * a1, q + h2 * b1)
-        a3, b3 = stage(p + h2 * a2, q + h2 * b2)
-        a4, b4 = stage(p + step * a3, q + step * b3)
-        p += h6 * (((a1 + 2.0 * a2) + 2.0 * a3) + a4)
-        q += h6 * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-        if not (-STATE_TOL <= p <= 1.0 + STATE_TOL and -STATE_TOL <= q <= 1.0 + STATE_TOL):
-            raise StepTooLarge(f"RK4 state ({p}, {q}) at t = {i * step} left [0, 1]^2")
-        ts.append(i * step)
-        xs += (p, q)
-    return Trajectory(np.array(ts), np.array(xs).reshape(-1, 2))
+    x = np.concatenate(rows)
+    return Trajectory(np.arange(len(x)) * step, x)
 
 
 def fixed_points(spec: GameSpec, p_max: float) -> list[FixedPoint]:
@@ -228,15 +236,19 @@ def fixed_points(spec: GameSpec, p_max: float) -> list[FixedPoint]:
         jac = _jacobian(spec, p1, q1, p_max)
         det = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
         trace = float(jac[0, 0] + jac[1, 1])
-        if det > 0.0 and trace < 0.0:
-            stab = Stability.STABLE
-        elif det < 0.0:
-            stab = Stability.SADDLE
-        else:
-            stab = Stability.UNSTABLE
         x = JointState(float(min(max(p1, 0.0), 1.0)), float(min(max(q1, 0.0), 1.0)))
-        out.append(FixedPoint(x, float(wnorm), jac, det, trace, stab))
+        out.append(FixedPoint(x, float(wnorm), jac, det, trace, _stability(det, trace)))
     return out
+
+
+def _stability(det: float, trace: float) -> Stability:
+    """The det/trace test of a 2x2 Jacobian: Stable iff det > 0 and
+    trace < 0, Saddle iff det < 0, else Unstable."""
+    if det > 0.0 and trace < 0.0:
+        return Stability.STABLE
+    if det < 0.0:
+        return Stability.SADDLE
+    return Stability.UNSTABLE
 
 
 def _candidates(spec: GameSpec, p_max: float) -> list[tuple[float, float]]:
@@ -283,19 +295,25 @@ def _candidates(spec: GameSpec, p_max: float) -> list[tuple[float, float]]:
 def _newton(
     spec: GameSpec, seed: tuple[float, float], p_max: float
 ) -> tuple[float, float, float] | None:
-    """Newton iteration on W = 0; returns (p1, q1, |W|) or None on failure."""
+    """Newton iteration on W = 0; returns (p1, q1, |W|) or None on failure.
+
+    Once |W| <= NEWTON_DRIFT_TOL it takes one more step and keeps it unless
+    |W| grows: where the Jacobian is ill-conditioned, a |W| of 1e-13 can
+    still leave the point 1e-9 from the root."""
     p1, q1 = float(seed[0]), float(seed[1])
     for _ in range(NEWTON_MAX_ITER):
         w1, w2 = _field(spec, p1, q1, p_max)
         wnorm = math.hypot(w1, w2)
-        if wnorm <= NEWTON_DRIFT_TOL:
-            return p1, q1, wnorm
         j = _jacobian(spec, p1, q1, p_max)
         det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
         if det == 0.0 or not math.isfinite(det):
-            return None
-        p1 -= (w1 * j[1, 1] - w2 * j[0, 1]) / det
-        q1 -= (w2 * j[0, 0] - w1 * j[1, 0]) / det
+            return (p1, q1, wnorm) if wnorm <= NEWTON_DRIFT_TOL else None
+        p_next = p1 - (w1 * j[1, 1] - w2 * j[0, 1]) / det
+        q_next = q1 - (w2 * j[0, 0] - w1 * j[1, 0]) / det
+        if wnorm <= NEWTON_DRIFT_TOL:
+            w_next = math.hypot(*_field(spec, p_next, q_next, p_max))
+            return (p_next, q_next, w_next) if w_next <= wnorm else (p1, q1, wnorm)
+        p1, q1 = p_next, q_next
         if not (-1.0 <= p1 <= 2.0 and -1.0 <= q1 <= 2.0):
             return None
     return None

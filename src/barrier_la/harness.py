@@ -18,14 +18,11 @@ clang); without one, _load_kernel raises OSError.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 import operator
 import os
 import threading
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,12 +31,8 @@ from .dynamics import FixedPoint, Stability, Trajectory, fixed_points
 from .game import (
     CaseKind, GameSpec, JointState, Model, classify, mixed_equilibrium, pure_equilibria,
 )
+from .kernel import _BLOCK_BUDGET, _load_kernel
 from .learner import LearnerConfig
-
-# Values per advance call: records x 2 x runs, at most max(_BLOCK_BUDGET,
-# 2 * runs) as a block holds one record or more.  Block boundaries never
-# affect results: run state and stream carry over.
-_BLOCK_BUDGET = 1 << 18
 
 
 class NotCase3(ValueError):
@@ -199,14 +192,17 @@ def basin_split(
 
 
 # ----------------------------------------------------------------------
-# Engine internals.  The C kernel, compiled on first use, carries its own
-# port of numpy's SeedSequence and PCG64: _simulate seeds every run with its
-# seed_runs and drives them through its advance() one (records, 2, runs)
-# block at a time.  Every constant advance reads, theta included, is in one
-# (5, 4) table that _simulate builds (its layout, and why the P-model reward
-# is a table read, are at advance).  advance only indexes it and applies
-# p <- p + f*(t - p), the same IEEE-754 operations as the tests'
-# one-draw-at-a-time reference loop on numpy's own generator.
+# Engine internals.  The C kernel (kernel.py), compiled on first use,
+# carries its own port of numpy's SeedSequence and PCG64: _simulate seeds
+# every run with its seed_runs and drives them through its advance() one
+# (records, 2, runs) block at a time.  Every constant advance reads, theta
+# included, is in one (5, 4) table that _simulate builds (its layout, and why
+# the P-model reward is a table read, are at advance).  advance only indexes
+# it and applies p <- p + f*(t - p), the same IEEE-754 operations as the
+# tests' one-draw-at-a-time reference loop on numpy's own generator.  The
+# same library's rk4 runs the RK4 loop of dynamics.integrate on the one
+# table integrate builds (payoff entries, p_max, step, stop norm and box
+# limits), with the operations of dynamics._field in their order.
 # -ffp-contract=off (never -ffast-math) keeps C from fusing a product into
 # the following sum.  _in_slices cuts each block's runs into one contiguous
 # slice per usable core and runs the slices on threads at once, as ctypes
@@ -283,158 +279,3 @@ def _in_slices(advance, runs: int, *args) -> None:
             worker.join()
     if errors:
         raise errors[0]
-
-
-_KERNEL_C = r"""
-#include <stdint.h>
-
-typedef unsigned __int128 u128;
-static const u128 MULT = (u128)2549297995355413924u << 64 | 4865540595714422341u;
-
-static uint32_t hashmix(uint32_t v, uint32_t *h)
-{
-    v ^= *h;
-    *h *= 0x931e8875u;
-    v *= *h;
-    return v ^ v >> 16;
-}
-
-static uint32_t mix(uint32_t x, uint32_t y)
-{
-    uint32_t v = 0xca01f9ddu * x - 0x4973f715u * y;
-    return v ^ v >> 16;
-}
-
-/* Fill st[4r..4r+4) with the state and increment, each as low then high
-   64-bit word, of np.random.PCG64(seed ^ r) once seeded: numpy's
-   SeedSequence with pool size 4 on the entropy seed ^ r (two 32-bit words;
-   numpy omits a zero high word, which hashes as the zero padding does),
-   generate_state(4, uint64), then pcg_setseq_128_srandom_r with words 0, 1
-   as the state's (high, low) and words 2, 3 as the sequence's. */
-void seed_runs(int64_t runs, uint64_t seed, uint64_t *st)
-{
-    for (int64_t r = 0; r < runs; r++) {
-        uint64_t e = seed ^ (uint64_t)r, w[4] = {0};
-        uint32_t h = 0x43b0d7e5u, pool[4] = {(uint32_t)e, (uint32_t)(e >> 32), 0, 0};
-        for (int i = 0; i < 4; i++)
-            pool[i] = hashmix(pool[i], &h);
-        for (int i = 0; i < 4; i++)
-            for (int j = 0; j < 4; j++)
-                if (i != j)
-                    pool[j] = mix(pool[j], hashmix(pool[i], &h));
-        h = 0x8b51f9ddu;
-        for (int i = 0; i < 8; i++) {
-            uint32_t v = pool[i % 4] ^ h;
-            h *= 0x58f38dedu;
-            v *= h;
-            w[i / 2] |= (uint64_t)(v ^ v >> 16) << 32 * (i % 2);
-        }
-        u128 inc = ((u128)w[2] << 64 | w[3]) << 1 | 1;
-        u128 s = (inc + ((u128)w[0] << 64 | w[1])) * MULT + inc;
-        st[4 * r] = (uint64_t)s;
-        st[4 * r + 1] = (uint64_t)(s >> 64);
-        st[4 * r + 2] = (uint64_t)inc;
-        st[4 * r + 3] = (uint64_t)(inc >> 64);
-    }
-}
-
-/* numpy's PCG64 next_double: one LCG step, the XSL-RR output of the new
-   state, its top 53 bits scaled into [0, 1). */
-static inline double next_double(u128 *s, u128 inc)
-{
-    *s = *s * MULT + inc;
-    uint64_t x = (uint64_t)(*s >> 64) ^ (uint64_t)*s;
-    unsigned rot = (unsigned)(*s >> 122);
-    x = x >> rot | x << (-rot & 63);
-    return (x >> 11) * (1.0 / 9007199254740992.0);
-}
-
-/* Advance each run r in [r0, r1) from step t through the steps rec[0..k),
-   storing its state after rec[j] steps at out[j][0][r] and out[j][1][r].
-   st holds the runs' generators as seed_runs lays them out, pq the (2, runs)
-   states; tab the (5, 4) table _simulate builds: rows feedback A, feedback
-   B, target A and target B, each indexed by the joint action
-   x = 2*(u0 >= p) + (u1 >= q), then (0, theta_a, 0, theta_b).  A call reads
-   and writes only the slots of its own runs, so calls on disjoint ranges
-   may run at the same time. */
-void advance(int64_t runs, uint64_t *st, double *pq, int64_t t, const int64_t *rec,
-             int64_t k, int ptype, const double *tab, double *out, int64_t r0, int64_t r1)
-{
-    const double *fa = tab, *fb = tab + 4, *ta = tab + 8, *tb = tab + 12;
-    /* The P-model reward, 0 or theta, is read from {0, theta} at index
-       u < entry.  A ternary compiles to a jump, and near a mixed
-       equilibrium, where the draw is a coin flip, that jump mispredicts on
-       most steps; the table read has no branch. */
-    const double *ga = tab + 16, *gb = tab + 18;
-    for (int64_t r = r0; r < r1; r++) {
-        uint64_t *g = st + 4 * r;
-        u128 s = (u128)g[1] << 64 | g[0], inc = (u128)g[3] << 64 | g[2];
-        double p = pq[r], q = pq[runs + r];
-        int64_t n = t;
-        for (int64_t j = 0; j < k; j++) {
-            for (; n < rec[j]; n++) {
-                double u0 = next_double(&s, inc);
-                double u1 = next_double(&s, inc);
-                int x = (u0 >= p ? 2 : 0) + (u1 >= q);
-                double f = fa[x], h = fb[x];
-                if (ptype) {
-                    double u2 = next_double(&s, inc);
-                    double u3 = next_double(&s, inc);
-                    f = ga[u2 < f];
-                    h = gb[u3 < h];
-                }
-                p = p + f * (ta[x] - p);
-                q = q + h * (tb[x] - q);
-            }
-            out[2 * j * runs + r] = p;
-            out[(2 * j + 1) * runs + r] = q;
-        }
-        g[0] = (uint64_t)s;
-        g[1] = (uint64_t)(s >> 64);
-        pq[r] = p;
-        pq[runs + r] = q;
-    }
-}
-"""
-_CC = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
-
-
-@functools.cache
-def _load_kernel():
-    """The kernel library (seed_runs and advance).  Cached as
-    $XDG_CACHE_HOME/barrier_la/kernel-<sha256 of compile command and
-    source>.so (~/.cache when the variable is unset, empty or relative, as
-    the XDG Base Directory spec asks); later processes only load it.  Raises
-    OSError naming the compile command, the cache path and the cause when
-    it can be neither built nor loaded.  Imports are local so commands
-    without Monte Carlo skip them."""
-    import hashlib
-    digest = hashlib.sha256((" ".join(_CC) + _KERNEL_C).encode()).hexdigest()
-    xdg = os.environ.get("XDG_CACHE_HOME", "")
-    cache = Path(xdg if os.path.isabs(xdg) else os.path.expanduser("~/.cache"), "barrier_la")
-    so = cache / f"kernel-{digest}.so"
-    try:
-        if not so.exists():
-            import subprocess
-            cache.mkdir(parents=True, exist_ok=True)
-            tmp = so.with_name(f"{so.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-            try:
-                cmd = [*_CC, "-x", "c", "-", "-o", str(tmp)]
-                proc = subprocess.run(cmd, input=_KERNEL_C, capture_output=True, errors="replace")
-                if proc.returncode:
-                    raise OSError(f"cc exited {proc.returncode}: {proc.stderr.strip()}")
-                os.replace(tmp, so)
-            finally:
-                tmp.unlink(missing_ok=True)
-        kernel = ctypes.CDLL(str(so))
-    except OSError as exc:
-        cc = " ".join(_CC)
-        raise OSError(f"cannot build or load the C kernel with {cc} into {so}: {exc}") from exc
-    i64, i32 = ctypes.c_int64, ctypes.c_int
-    f8, i8, u8 = (
-        np.ctypeslib.ndpointer(d, flags="C_CONTIGUOUS") for d in (np.float64, np.int64, np.uint64)
-    )
-    kernel.seed_runs.argtypes = [i64, ctypes.c_uint64, u8]
-    kernel.advance.argtypes = [i64, u8, f8, i64, i8, i64, i32, f8, f8, i64, i64]
-    kernel.seed_runs.restype = kernel.advance.restype = None
-    return kernel

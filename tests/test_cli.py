@@ -208,6 +208,21 @@ class TestValidation:
         assert "cc -O2" in err and str(no_compiler) in err
         assert not out.exists()
 
+    def test_without_a_compiler_ode_trajectory_exits_1_and_the_rest_run(
+        self, capsys, tmp_path, no_compiler
+    ):
+        out = tmp_path / "x.csv"
+        rc, _, err = run_cli(
+            capsys, "ode-trajectory", "--preset", "case1", "--t-max", "1", "--out", str(out)
+        )
+        assert rc == 1
+        assert "cc -O2" in err and str(no_compiler) in err
+        assert not out.exists()
+        assert run_cli(capsys, "classify", "--preset", "case1")[0] == 0
+        assert run_cli(capsys, "fixed-points", "--preset", "case1")[0] == 0
+        argv = ("ode-field", "--preset", "case1", "--grid-n", "3", "--out", str(out))
+        assert run_cli(capsys, *argv)[0] == 0
+
     def test_unknown_preset_rejected(self, capsys):
         rc, _, _ = run_cli(capsys, "classify", "--preset", "case9")
         assert rc == 2
@@ -352,7 +367,10 @@ class TestOdeCommands:
             "--out", str(tmp_path / "x.csv"),
         )
         assert rc == 2
-        assert "numerical error" in err
+        assert err == (
+            "numerical error: RK stage (-611.9999999999999, -918.2500000000001) "
+            "left the box [-0.1, 1.1]^2\n"
+        )
 
     @pytest.mark.parametrize(
         "flags",
@@ -384,7 +402,10 @@ class TestOdeCommands:
             "--out", str(tmp_path / "x.csv"),
         )
         assert rc == 2
-        assert "numerical error" in err
+        assert err == (
+            "numerical error: RK4 state (0.9191347306746679, -0.00029944893546260116) "
+            "at t = 189.8612414871447 left [0, 1]^2\n"
+        )
 
     def test_fixed_points_json(self, capsys):
         rc, out, _ = run_cli(

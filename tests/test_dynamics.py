@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from barrier_la import (
@@ -21,7 +21,8 @@ from barrier_la import (
     vector_field,
 )
 
-from barrier_la.dynamics import STAGE_BOX, _drives
+from barrier_la import dynamics
+from barrier_la.dynamics import STAGE_BOX, _drives, _stability
 from conftest import (
     bisect_root,
     drift_from_entries,
@@ -36,9 +37,9 @@ from conftest import (
 
 def array_integrate_oracle(spec, x0, p_max, step, t_max):
     """RK4 on 2-element numpy arrays, one array per stage: the integrator as
-    first written.  The float-based integrate must reproduce it bit for bit;
-    its accepted states outside [0, 1]^2 surface as the ValueError of
-    Trajectory."""
+    first written.  integrate, whose loop runs in the C kernel, must
+    reproduce it bit for bit; its accepted states outside [0, 1]^2 surface
+    as the ValueError of Trajectory."""
     lo, hi = STAGE_BOX
     x = np.array([x0.p1, x0.q1])
     ts = [0.0]
@@ -247,6 +248,42 @@ class TestIntegrate:
         assert got.t.tobytes() == want.t.tobytes()
         assert got.x.tobytes() == want.x.tobytes()
 
+    def test_a_long_t_max_stops_where_a_short_one_does(self, case1):
+        # the path stops at drift 1e-10 after 178k steps; nothing is sized
+        # by the 1e11 steps that t_max allows
+        want = integrate(case1, JointState(0.5, 0.5), 0.99, step=0.01, t_max=1e4)
+        got = integrate(case1, JointState(0.5, 0.5), 0.99, step=0.01, t_max=1e9)
+        assert len(want) < 1e6 + 1
+        assert got.t.tobytes() == want.t.tobytes()
+        assert got.x.tobytes() == want.x.tobytes()
+
+    @pytest.mark.parametrize(
+        "preset_name, x0, step, t_max",
+        [
+            ("case2", (0.3, 0.8), 0.05, 200.0),  # a whole path
+            ("case1", (0.5, 0.5), 0.5, 1e4),  # stops on the drift norm at step 3563
+            ("case1", (0.5, 0.5), 1e5, 1e6),  # a stage leaves the box
+            ("case2", (0.27899524521331553, 0.0593345829787469),
+             15.821770123928726, 316.43540247857453),  # step 12 leaves [0, 1]^2
+        ],
+    )
+    @pytest.mark.parametrize("budget", [4, 8, 2 * 1001])
+    def test_block_boundaries_do_not_change_the_path(
+        self, monkeypatch, request, preset_name, x0, step, t_max, budget
+    ):
+        spec = request.getfixturevalue(preset_name)
+
+        def path():
+            try:
+                traj = integrate(spec, JointState(*x0), 0.99, step, t_max)
+            except StepTooLarge as exc:
+                return str(exc)
+            return traj.t.tobytes(), traj.x.tobytes()
+
+        want = path()
+        monkeypatch.setattr(dynamics, "_BLOCK_BUDGET", budget)  # 1, 3 or 1000 steps per call
+        assert path() == want
+
     def test_times_strictly_increase_and_states_stay_in_box(self, case2):
         traj = integrate(case2, JointState(0.3, 0.8), 0.99, step=0.05, t_max=200)
         assert np.all(np.diff(traj.t) > 0)
@@ -324,6 +361,8 @@ class TestFixedPoints:
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), p_max=st.floats(0.99, 0.999))
+    # j22 = -5.1e-4 there: Newton met |W| <= 1e-12 with q1 still 1e-9 off
+    @example(seed=1989116676, p_max=0.9911923449366027)
     def test_matches_planar_root_oracle(self, seed, p_max):
         spec = random_game(np.random.default_rng(seed))
         pts = fixed_points(spec, p_max)
@@ -356,6 +395,25 @@ class TestFixedPoints:
         spec = game_of((0.0, 0.0, 0.0, 0.0), (0.2, 0.7, 0.5, 0.4))
         with pytest.raises(DegenerateGame):
             fixed_points(spec, 0.99)
+
+
+class TestStability:
+    @pytest.mark.parametrize(
+        "det, trace, label",
+        [
+            (1.0, -1.0, Stability.STABLE),
+            (1.0, 1.0, Stability.UNSTABLE),
+            (1.0, 0.0, Stability.UNSTABLE),
+            (-1.0, -1.0, Stability.SADDLE),
+            (-1.0, 1.0, Stability.SADDLE),
+            (-1.0, 0.0, Stability.SADDLE),
+            (0.0, -1.0, Stability.UNSTABLE),
+            (0.0, 1.0, Stability.UNSTABLE),
+            (0.0, 0.0, Stability.UNSTABLE),
+        ],
+    )
+    def test_every_sign_case(self, det, trace, label):
+        assert _stability(det, trace) is label
 
 
 class TestBarrierContainment:

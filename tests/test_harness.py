@@ -27,7 +27,7 @@ from barrier_la import (
     steady_state_error,
     terminal_states,
 )
-from barrier_la import harness
+from barrier_la import harness, kernel
 from barrier_la.harness import _load_kernel, _simulate
 
 from conftest import game_of, reference_loop, sim_config
@@ -511,8 +511,8 @@ class TestKernelCache:
     def test_kernel_source_compiles_without_warnings(self):
         # the loader compiles without warning flags; lint the same source
         # with its own command
-        cmd = [*harness._CC, "-Wall", "-Wextra", "-Werror", "-x", "c", "-", "-o", os.devnull]
-        proc = subprocess.run(cmd, input=harness._KERNEL_C, text=True, capture_output=True)
+        cmd = [*kernel._CC, "-Wall", "-Wextra", "-Werror", "-x", "c", "-", "-o", os.devnull]
+        proc = subprocess.run(cmd, input=kernel._KERNEL_C, text=True, capture_output=True)
         assert proc.returncode == 0, proc.stderr
 
     def test_without_a_compiler_loading_raises_naming_the_command(self, no_compiler):
