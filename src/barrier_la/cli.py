@@ -10,7 +10,7 @@ Exit codes: 0 success; 1 validation error, that is any ValueError
 (DegenerateGame, NotInSimplex and NotCase3 among them), OSError (an
 unreadable file, a C kernel that cannot be built) or MemoryError (a size
 too large to allocate); 2 numerical failure (StepTooLarge from RK4,
-fixed-points finding no root) or an argparse usage error.
+NoFixedPoints when fixed-points finds no root) or an argparse usage error.
 """
 
 from __future__ import annotations
@@ -30,14 +30,23 @@ from .learner import LearnerConfig, _check_p_max
 _ROWS_PER_WRITE = 1 << 18  # bounds the rows formatted at a time
 
 
+class NoFixedPoints(ArithmeticError):
+    """fixed-points found no root of the drift."""
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the usage message
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args, _load_spec(args))
-    except StepTooLarge as exc:
+        out = args.func(args, _load_spec(args))
+        if args.csv:
+            _write_csv(args.out, args.csv, *out)
+        else:
+            print(json.dumps(out, indent=2))
+        return 0
+    except (StepTooLarge, NoFixedPoints) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, MemoryError) as exc:
@@ -54,8 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, help_: str, func, *, csv: str = ""):
-        """A subcommand; given a CSV header, func returns the columns that
-        --out receives under it."""
+        """A subcommand; func returns the columns that --out receives under
+        a given CSV header, else the payload printed as JSON."""
         help_ = f"{help_}, CSV {csv}" if csv else help_
         p = sub.add_parser(name, help=help_, description=help_)
         src = p.add_mutually_exclusive_group(required=True)
@@ -63,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
         src.add_argument("--game", metavar="PATH", help="game spec JSON file")
         if csv:
             p.add_argument("--out", required=True, metavar="PATH", help="CSV output path")
-        p.set_defaults(func=functools.partial(_csv_command, func, csv) if csv else func)
+        p.set_defaults(func=func, csv=csv)
         return p
 
     add("classify", "case classification plus equilibria as JSON", _cmd_classify)
@@ -134,15 +143,6 @@ def _sim_config(args, spec: GameSpec) -> harness.SimConfig:
     return harness.SimConfig(spec, cfg, cfg, x0, args.steps, args.seed, args.stride)
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
-
-
-def _csv_command(columns, header: str, args, spec: GameSpec) -> int:
-    _write_csv(args.out, header, *columns(args, spec))
-    return 0
-
-
 def _write_csv(path: str, header: str, *columns: np.ndarray) -> None:
     """Write header, then row i of the columns: integers as such, floats with
     17 significant digits."""
@@ -154,18 +154,15 @@ def _write_csv(path: str, header: str, *columns: np.ndarray) -> None:
             fh.writelines(row % v for v in zip(*chunk))
 
 
-def _cmd_classify(args, spec: GameSpec) -> int:
+def _cmd_classify(args, spec: GameSpec) -> dict:
     report = game.equilibrium_report(spec)
-    _print_json(
-        {
-            "case": report.case_kind.value,
-            "pure": [[s.p1, s.q1] for s in report.pure],
-            "mixed": list(report.mixed) if report.mixed else None,
-            "L": report.L,
-            "L_prime": report.L_prime,
-        }
-    )
-    return 0
+    return {
+        "case": report.case_kind.value,
+        "pure": [[s.p1, s.q1] for s in report.pure],
+        "mixed": list(report.mixed) if report.mixed else None,
+        "L": report.L,
+        "L_prime": report.L_prime,
+    }
 
 
 def _cmd_simulate(args, spec: GameSpec):
@@ -191,18 +188,15 @@ def _cmd_error_table(args, spec: GameSpec):
     return np.array([(r.p_max, r.theta, r.error) for r in rows], dtype=np.float64).T
 
 
-def _cmd_basin_split(args, spec: GameSpec) -> int:
+def _cmd_basin_split(args, spec: GameSpec) -> dict:
     cfg = LearnerConfig(theta=args.theta, p_max=args.pmax)
     x0 = JointState(args.p0, args.q0)
     split = harness.basin_split(spec, cfg, x0, runs=args.runs, steps=args.steps, seed=args.seed)
-    _print_json(
-        {
-            "runs": split.runs,
-            "stable_points": [[fp.x.p1, fp.x.q1] for fp in split.points],
-            "fractions": list(split.fractions),
-        }
-    )
-    return 0
+    return {
+        "runs": split.runs,
+        "stable_points": [[fp.x.p1, fp.x.q1] for fp in split.points],
+        "fractions": list(split.fractions),
+    }
 
 
 def _cmd_ode_field(args, spec: GameSpec):
@@ -220,28 +214,24 @@ def _cmd_ode_trajectory(args, spec: GameSpec):
     return traj.t, *traj.x.T
 
 
-def _cmd_fixed_points(args, spec: GameSpec) -> int:
+def _cmd_fixed_points(args, spec: GameSpec) -> dict:
     points = dynamics.fixed_points(spec, args.pmax)
     if not points:
-        print("numerical error: no fixed points found", file=sys.stderr)
-        return 2
-    _print_json(
-        {
-            "p_max": args.pmax,
-            "points": [
-                {
-                    "x": [fp.x.p1, fp.x.q1],
-                    "drift_norm": fp.drift_norm,
-                    "jacobian": fp.jacobian.tolist(),
-                    "det": fp.det,
-                    "trace": fp.trace,
-                    "stability": fp.stability.value,
-                }
-                for fp in points
-            ],
-        }
-    )
-    return 0
+        raise NoFixedPoints("no fixed points found")
+    return {
+        "p_max": args.pmax,
+        "points": [
+            {
+                "x": [fp.x.p1, fp.x.q1],
+                "drift_norm": fp.drift_norm,
+                "jacobian": fp.jacobian.tolist(),
+                "det": fp.det,
+                "trace": fp.trace,
+                "stability": fp.stability.value,
+            }
+            for fp in points
+        ],
+    }
 
 
 def _parse_floats(raw: str, flag: str) -> list[float]:

@@ -59,6 +59,9 @@ class PayoffMatrix:
     @classmethod
     def from_rows(cls, rows) -> "PayoffMatrix":
         (r11, r12), (r21, r22) = rows
+        for v in (r11, r12, r21, r22):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise TypeError(f"payoff entry {v!r} is not a number")
         return cls(float(r11), float(r12), float(r21), float(r22))
 
 
@@ -214,7 +217,7 @@ def from_dict(data: dict) -> GameSpec:
         model = Model(data["model"])
         R = PayoffMatrix.from_rows(data["R"])
         C = PayoffMatrix.from_rows(data["C"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"invalid game spec: {exc}") from exc
     return GameSpec(model, R, C)
 

@@ -59,6 +59,16 @@ class TestClassifyCommand:
         assert rc == 1
         assert "tie" in err or "degenerate" in err.lower()
 
+    def test_boolean_payoff_is_validation_error(self, capsys, tmp_path):
+        # JSON true is not the number 1
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(
+            {"model": "P", "R": [[True, 0.6], [0.4, 0.5]], "C": [[0.4, 0.25], [0.3, 0.6]]}
+        ))
+        rc, out, err = run_cli(capsys, "classify", "--game", str(path))
+        assert (rc, out) == (1, "")
+        assert err == "error: invalid game spec: payoff entry True is not a number\n"
+
     def test_tiny_payoff_gaps_are_not_a_tie(self, capsys, tmp_path):
         # A's first action is strictly dominant by 1e-200; a product of two
         # such gaps underflows to 0, a comparison of entries does not
@@ -116,6 +126,21 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     out = capsys.readouterr().out
     assert "CaseKind.MIXED_ONLY" in out and "Stability.STABLE" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--preset", "case1"),
+        ("fixed-points", "--preset", "case3"),
+        ("basin-split", "--preset", "case3", "--theta", "0.2", "--steps", "200", "--runs", "4"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_reports_are_indented_two_spaces_with_one_newline(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestValidation:
@@ -222,6 +247,24 @@ class TestValidation:
         assert run_cli(capsys, "fixed-points", "--preset", "case1")[0] == 0
         argv = ("ode-field", "--preset", "case1", "--grid-n", "3", "--out", str(out))
         assert run_cli(capsys, *argv)[0] == 0
+
+    def test_unwritable_out_path_is_validation_error(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        rc, stdout, err = run_cli(
+            capsys, "simulate", "--preset", "case1", "--steps", "10", "--out", str(out)
+        )
+        assert (rc, stdout) == (1, "")
+        assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+    def test_an_unplanned_arithmetic_error_is_not_a_numerical_exit(self, monkeypatch):
+        # only the errors the program raises on purpose map to exit 2; a bug
+        # keeps its traceback
+        def bug(spec, p_max):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(dynamics, "fixed_points", bug)
+        with pytest.raises(ZeroDivisionError):
+            main(["fixed-points", "--preset", "case1"])
 
     def test_unknown_preset_rejected(self, capsys):
         rc, _, _ = run_cli(capsys, "classify", "--preset", "case9")

@@ -255,6 +255,10 @@ class TestJsonInterface:
             from_dict({"model": "P", "R": [[0.1, 0.2]], "C": [[0.1, 0.2], [0.3, 0.4]]})
         with pytest.raises(ValueError):
             from_dict({"model": "X", "R": [[0, 0], [0, 0]], "C": [[0, 0], [0, 0]]})
+        # a payoff entry is a JSON number a float holds: no boolean, no string
+        for entry in (True, "0.2", 10**400):
+            with pytest.raises(ValueError, match="invalid game spec"):
+                from_dict({"model": "P", "R": [[entry, 0.6], [0.4, 0.5]], "C": self.CASE1["C"]})
 
     def test_presets_are_p_model(self):
         for name in ("case1", "case2", "case3"):
