@@ -3,8 +3,10 @@
 Structured reports (classify, fixed-points, basin-split) go to stdout as
 JSON; anything plottable (simulate, ensemble, error-table, ode-field,
 ode-trajectory) goes to the --out path as CSV under the header named in
-the command's help; floats carry 17 significant digits so values
-round-trip exactly.
+the command's help.  A CSV row is its values, "%d" for an integer column
+and exactly Python's "%.17g" for the rest (so floats round-trip), joined
+by commas and ended by a line feed.  The C kernel's format_rows writes the
+rows, so every CSV command needs the C compiler.
 
 Exit codes: 0 success; 1 validation error, that is any ValueError
 (DegenerateGame, NotInSimplex and NotCase3 among them), OSError (an
@@ -25,6 +27,7 @@ import numpy as np
 from . import dynamics, game, harness
 from .dynamics import StepTooLarge
 from .game import GameSpec, JointState, Model
+from .kernel import _CSV_VALUE_BYTES, _load_kernel
 from .learner import LearnerConfig, _check_p_max
 
 _ROWS_PER_WRITE = 1 << 18  # bounds the rows formatted at a time
@@ -144,14 +147,21 @@ def _sim_config(args, spec: GameSpec) -> harness.SimConfig:
 
 
 def _write_csv(path: str, header: str, *columns: np.ndarray) -> None:
-    """Write header, then row i of the columns: integers as such, floats with
-    17 significant digits."""
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for i in range(0, len(columns[0]), _ROWS_PER_WRITE):
-            chunk = (c[i : i + _ROWS_PER_WRITE].tolist() for c in columns)
-            fh.writelines(row % v for v in zip(*chunk))
+    """Write header, then row i of the int64 or float64 columns, formatted
+    by the kernel's format_rows _ROWS_PER_WRITE rows at a time."""
+    format_rows = _load_kernel().format_rows  # before open: without it, no file
+    rows = len(columns[0])
+    block = np.empty((len(columns), min(rows, _ROWS_PER_WRITE)), dtype=np.uint64)
+    ints = np.array([c.dtype.kind == "i" for c in columns], dtype=np.uint8)
+    buf = np.empty(block.size * _CSV_VALUE_BYTES, dtype=np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode())
+        for i in range(0, rows, _ROWS_PER_WRITE):
+            n = min(rows - i, _ROWS_PER_WRITE)
+            for dst, c in zip(block, columns):
+                dst[:n] = c[i : i + n].view(np.uint64)
+            size = format_rows(n, len(columns), block.shape[1], block, ints, buf, buf.size)
+            fh.write(buf[:size])
 
 
 def _cmd_classify(args, spec: GameSpec) -> dict:

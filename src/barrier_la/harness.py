@@ -202,7 +202,8 @@ def basin_split(
 # tests' one-draw-at-a-time reference loop on numpy's own generator.  The
 # same library's rk4 runs the RK4 loop of dynamics.integrate on the one
 # table integrate builds (payoff entries, p_max, step, stop norm and box
-# limits), with the operations of dynamics._field in their order.
+# limits), with the operations of dynamics._field in their order, and its
+# format_rows writes every CSV row of cli._write_csv.
 # -ffp-contract=off (never -ffast-math) keeps C from fusing a product into
 # the following sum.  _in_slices cuts each block's runs into one contiguous
 # slice per usable core and runs the slices on threads at once, as ctypes

@@ -2,16 +2,20 @@ import argparse
 import csv
 import json
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barrier_la import (
     JointState, cli, dynamics, error_table, harness, integrate, mixed_equilibrium, run_game,
     vector_field,
 )
 from barrier_la.cli import _build_parser, main
+from barrier_la.kernel import _CSV_VALUE_BYTES, _load_kernel
 
 from conftest import sim_config
 
@@ -20,6 +24,30 @@ def run_cli(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def python_rows(*columns: np.ndarray) -> bytes:
+    """The CSV rows as Python's own formatting gives them: "%d" for integer
+    columns, "%.17g" for the rest."""
+    row = ",".join("%d" if c.dtype.kind == "i" else "%.17g" for c in columns) + "\n"
+    return "".join(row % v for v in zip(*(c.tolist() for c in columns))).encode()
+
+
+def kernel_rows(*columns: np.ndarray) -> bytes:
+    """The same rows from one call of the kernel's format_rows."""
+    block = np.array([c.view(np.uint64) for c in columns])
+    ints = np.array([c.dtype.kind == "i" for c in columns], dtype=np.uint8)
+    buf = np.empty(block.size * _CSV_VALUE_BYTES, dtype=np.uint8)
+    n = block.shape[1]
+    size = _load_kernel().format_rows(n, len(columns), n, block, ints, buf, buf.size)
+    return buf[:size].tobytes()
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+# every float64 bit pattern, and hypothesis's own float edge cases
+FLOAT64 = st.floats() | st.integers(0, 2**64 - 1).map(
+    lambda b: struct.unpack("<d", b.to_bytes(8, "little"))[0]
+)
 
 
 class TestClassifyCommand:
@@ -236,17 +264,19 @@ class TestValidation:
     def test_without_a_compiler_ode_trajectory_exits_1_and_the_rest_run(
         self, capsys, tmp_path, no_compiler
     ):
+        """The CSV commands need the kernel, ode-field's writer too, and
+        leave no file; the JSON commands classify and fixed-points run."""
         out = tmp_path / "x.csv"
-        rc, _, err = run_cli(
-            capsys, "ode-trajectory", "--preset", "case1", "--t-max", "1", "--out", str(out)
-        )
-        assert rc == 1
-        assert "cc -O2" in err and str(no_compiler) in err
-        assert not out.exists()
+        for argv in (
+            ("ode-trajectory", "--preset", "case1", "--t-max", "1"),
+            ("ode-field", "--preset", "case1", "--grid-n", "3"),
+        ):
+            rc, _, err = run_cli(capsys, *argv, "--out", str(out))
+            assert rc == 1
+            assert "cc -O2" in err and str(no_compiler) in err
+            assert not out.exists()
         assert run_cli(capsys, "classify", "--preset", "case1")[0] == 0
         assert run_cli(capsys, "fixed-points", "--preset", "case1")[0] == 0
-        argv = ("ode-field", "--preset", "case1", "--grid-n", "3", "--out", str(out))
-        assert run_cli(capsys, *argv)[0] == 0
 
     def test_unwritable_out_path_is_validation_error(self, capsys, tmp_path):
         out = tmp_path / "missing" / "x.csv"
@@ -543,3 +573,63 @@ class TestCsvOutput:
         assert len(parsed) == 1
         assert float(parsed[0]["error"]) == rows[0].error
         assert float(parsed[0]["p_max"]) == 0.99
+
+    @pytest.mark.parametrize("with_int", [False, True], ids=["float", "int+float"])
+    def test_write_csv_equals_python_rows_in_any_chunking(self, tmp_path, monkeypatch, with_int):
+        rng = np.random.default_rng(3)
+        table = rng.standard_normal((7, 4)) * 10.0 ** rng.integers(-9, 20, (7, 4))
+        columns = list(table.T)  # strided, as a trajectory's columns are
+        if with_int:
+            columns[0] = rng.integers(-(2**63), 2**63 - 1, 7)
+        want = b"a,b,c,d\n" + python_rows(*columns)
+        for rows_per_write in (1 << 18, 3):  # 7 rows in one chunk, then 3 + 3 + 1
+            monkeypatch.setattr(cli, "_ROWS_PER_WRITE", rows_per_write)
+            cli._write_csv(str(tmp_path / "x.csv"), "a,b,c,d", *columns)
+            assert (tmp_path / "x.csv").read_bytes() == want
+
+
+def _neighbours(x: float) -> list[float]:
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+# Where a 17-digit formatter can go wrong: exact ties of the last digit
+# (n + 0.25, n + 0.5 near 10^15), each power of ten and its neighbours (a
+# digit-count boundary), the edges of the integer path (1e-6 and 2^53) and
+# the values outside it (zeros, subnormals, infinities, NaN).
+ADVERSARIAL = np.array([
+    *(1e15 + n + f for n in range(50) for f in (0.25, 0.5, 0.75)),
+    *(x for k in range(-323, 309) for x in _neighbours(float(f"1e{k}"))),
+    *_neighbours(1e-6), *_neighbours(2.0**53 - 1), *_neighbours(2.0**53),
+    0.0, 5e-324, 2.2250738585072014e-308, np.inf, np.nan,
+])
+
+
+class TestFormatRows:
+    """The kernel's format_rows equals Python's "%d" and "%.17g" byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(INT64, FLOAT64, FLOAT64), min_size=1, max_size=40))
+    def test_random_values(self, rows):
+        t, p, q = (np.array(c) for c in zip(*rows))
+        t = t.astype(np.int64)
+        assert kernel_rows(t, p, q) == python_rows(t, p, q)
+
+    def test_adversarial_values_and_their_negatives(self):
+        x = np.concatenate([ADVERSARIAL, -ADVERSARIAL])
+        assert np.signbit(x[np.isnan(x)]).any()  # a NaN with its sign bit set, as "nan"
+        assert kernel_rows(x) == python_rows(x)
+
+    def test_int64_extremes(self):
+        t = np.array([np.iinfo(np.int64).min, -1, 0, 1, np.iinfo(np.int64).max])
+        assert kernel_rows(t, t.astype(np.float64)) == python_rows(t, t.astype(np.float64))
+
+    def test_never_writes_past_the_capacity(self):
+        x = np.array([-1.2345678901234567e-308, 1.0])  # the widest value, 24 bytes
+        want = python_rows(x)
+        block, ints = x.view(np.uint64).reshape(1, 2), np.zeros(1, np.uint8)
+        buf = np.full(64, 7, dtype=np.uint8)
+        format_rows = _load_kernel().format_rows
+        assert format_rows(2, 1, 2, block, ints, buf, 2 * _CSV_VALUE_BYTES - 1) == -1
+        assert (buf == 7).all()
+        assert format_rows(2, 1, 2, block, ints, buf, 2 * _CSV_VALUE_BYTES) == len(want)
+        assert buf[: len(want)].tobytes() == want and (buf[len(want) :] == 7).all()
