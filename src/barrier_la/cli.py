@@ -27,10 +27,8 @@ import numpy as np
 from . import dynamics, game, harness
 from .dynamics import StepTooLarge
 from .game import GameSpec, JointState, Model
-from .kernel import _CSV_VALUE_BYTES, _load_kernel
+from .kernel import _BLOCK_BUDGET, _CSV_VALUE_BYTES, _load_kernel
 from .learner import LearnerConfig, _check_p_max
-
-_ROWS_PER_WRITE = 1 << 18  # bounds the rows formatted at a time
 
 
 class NoFixedPoints(ArithmeticError):
@@ -147,20 +145,17 @@ def _sim_config(args, spec: GameSpec) -> harness.SimConfig:
 
 
 def _write_csv(path: str, header: str, *columns: np.ndarray) -> None:
-    """Write header, then row i of the int64 or float64 columns, formatted
-    by the kernel's format_rows _ROWS_PER_WRITE rows at a time."""
+    """Write header, then row i of the int64 or float64 columns, formatted by
+    the kernel's format_rows one contiguous (columns, rows) chunk per call."""
     format_rows = _load_kernel().format_rows  # before open: without it, no file
-    rows = len(columns[0])
-    block = np.empty((len(columns), min(rows, _ROWS_PER_WRITE)), dtype=np.uint64)
+    step = max(_BLOCK_BUDGET // len(columns), 1)  # rows per chunk
     ints = np.array([c.dtype.kind == "i" for c in columns], dtype=np.uint8)
-    buf = np.empty(block.size * _CSV_VALUE_BYTES, dtype=np.uint8)
+    buf = np.empty(min(len(columns[0]), step) * len(columns) * _CSV_VALUE_BYTES, np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"{header}\n".encode())
-        for i in range(0, rows, _ROWS_PER_WRITE):
-            n = min(rows - i, _ROWS_PER_WRITE)
-            for dst, c in zip(block, columns):
-                dst[:n] = c[i : i + n].view(np.uint64)
-            size = format_rows(n, len(columns), block.shape[1], block, ints, buf, buf.size)
+        for i in range(0, len(columns[0]), step):
+            block = np.stack([c[i : i + step].view(np.uint64) for c in columns])
+            size = format_rows(block.shape[1], len(columns), block, ints, buf, buf.size)
             fh.write(buf[:size])
 
 

@@ -199,11 +199,7 @@ def basin_split(
 # included, is in one (5, 4) table that _simulate builds (its layout, and why
 # the P-model reward is a table read, are at advance).  advance only indexes
 # it and applies p <- p + f*(t - p), the same IEEE-754 operations as the
-# tests' one-draw-at-a-time reference loop on numpy's own generator.  The
-# same library's rk4 runs the RK4 loop of dynamics.integrate on the one
-# table integrate builds (payoff entries, p_max, step, stop norm and box
-# limits), with the operations of dynamics._field in their order, and its
-# format_rows writes every CSV row of cli._write_csv.
+# tests' one-draw-at-a-time reference loop on numpy's own generator.
 # -ffp-contract=off (never -ffast-math) keeps C from fusing a product into
 # the following sum.  _in_slices cuts each block's runs into one contiguous
 # slice per usable core and runs the slices on threads at once, as ctypes

@@ -20,9 +20,10 @@ from pathlib import Path
 import numpy as np
 
 # Values per kernel call: advance writes records x 2 x runs, at most
-# max(_BLOCK_BUDGET, 2 * runs) as a block holds one record or more; rk4
-# writes at most _BLOCK_BUDGET.  Block boundaries never affect results: run
-# state, stream and RK4 state carry over.
+# max(_BLOCK_BUDGET, 2 * runs) as a block holds one record or more;
+# format_rows reads rows x ncols, at most max(_BLOCK_BUDGET, ncols) likewise;
+# rk4 writes at most _BLOCK_BUDGET.  Block boundaries never affect results:
+# run state, stream and RK4 state carry over.
 _BLOCK_BUDGET = 1 << 18
 # The bytes format_rows needs per value: at most 24 of "%.17g" (or "%lld")
 # and one of the separator.
@@ -205,20 +206,21 @@ int rk4(const double *tab, int64_t n, double *x, int64_t *k)
 }
 
 #define P10(k) (u128)1e##k /* exact: 10^k is a double for k <= 22 */
-static const u128 POW10[23] = {
+static const u128 POW10[22] = {
     P10(0), P10(1), P10(2), P10(3), P10(4), P10(5), P10(6), P10(7), P10(8), P10(9), P10(10),
     P10(11), P10(12), P10(13), P10(14), P10(15), P10(16), P10(17), P10(18), P10(19), P10(20),
-    P10(21), P10(22)};
+    P10(21)};
 #define E16 10000000000000000u
 #define E17 100000000000000000u
 
 /* Write the double x whose bits these are as Python's "%.17g" % x would
    at b, at most 24 bytes plus the NUL of snprintf; returns the end.  For
-   |x| in [1e-6, 2^53) the digits are exact integer arithmetic: |x| = m / 2^s,
-   N = m * 10^k with k = 16 - X for X = floor(log10 |x|), so that q = N >> s
-   has 17 digits, then q is rounded half to even on the exact remainder.
-   Zeros are "0" or "-0", NaN is "nan" whatever its sign, as Python prints
-   it, and all else goes to snprintf. */
+   |x| in [1e-4, 2^53), where X = floor(log10 |x|) is in [-4, 15] and so
+   "%.17g" writes no exponent, the digits are exact integer arithmetic:
+   |x| = m / 2^s, N = m * 10^k with k = 16 - X, so that q = N >> s has 17
+   digits, then q is rounded half to even on the exact remainder.  Zeros
+   are "0" or "-0", NaN is "nan" whatever its sign, as Python prints it, and
+   all else, every value with an exponent, goes to snprintf. */
 static char *put_double(char *b, uint64_t bits)
 {
     double x;
@@ -234,18 +236,15 @@ static char *put_double(char *b, uint64_t bits)
         *b++ = '0';
         return b;
     }
-    if (!(a >= 1e-6 && a < 9007199254740992.0))
+    if (!(a >= 1e-4 && a < 9007199254740992.0))
         return b + snprintf(b, 25, "%.17g", x);
-    uint64_t m = (bits & ((1ull << 52) - 1)) | 1ull << 52; /* |x| = m / 2^s, s in [0, 72] */
+    uint64_t m = (bits & ((1ull << 52) - 1)) | 1ull << 52; /* |x| = m / 2^s, s in [0, 66] */
     int s = 1075 - (int)(bits >> 52 & 0x7ff);
     int X = (int)floor((52 - s) * 0.30102999566398120); /* X or X - 1 */
     u128 N;
     uint64_t q;
     for (;;) {
-        int k = 16 - X;
-        if (k < 0 || k > 22)
-            return b + snprintf(b, 25, "%.17g", x);
-        N = m * POW10[k];
+        N = m * POW10[16 - X]; /* 16 - X in [1, 21] */
         q = (uint64_t)(N >> s);
         if (q >= E17)
             X++;
@@ -255,7 +254,7 @@ static char *put_double(char *b, uint64_t bits)
             break;
     }
     /* Rounding never carries q to 10^17: that needs a double within 5e-18
-       (relative) below a power of ten, and below each of 10^-6 .. 10^16 the
+       (relative) below a power of ten, and below each of 10^-4 .. 10^16 the
        nearest lies at least 4.5e-17 away. */
     if (s) {
         u128 r = N & (((u128)1 << s) - 1), half = (u128)1 << (s - 1);
@@ -269,18 +268,7 @@ static char *put_double(char *b, uint64_t bits)
         n--;
     if (x < 0)
         *b++ = '-';
-    if (X < -4) { /* d.ddde-0X, as X >= -6 here */
-        *b++ = d[0];
-        if (n > 1) {
-            *b++ = '.';
-            memcpy(b, d + 1, n - 1);
-            b += n - 1;
-        }
-        memcpy(b, "e-0", 3);
-        b[3] = (char)('0' - X);
-        return b + 4;
-    }
-    if (X < 0) { /* 0.0ddd */
+    if (X < 0) { /* 0.0ddd, as X >= -4 here */
         memcpy(b, "0.000", 1 - X);
         b += 1 - X;
         memcpy(b, d, n);
@@ -296,20 +284,20 @@ static char *put_double(char *b, uint64_t bits)
     return b;
 }
 
-/* Format rows [0, n) of ncols columns as CSV into buf: column j is the n
-   values at cols[j * ld], int64 written as "%lld" where ints[j], else
-   float64 written as "%.17g"; values are separated by ',' and each row
-   ends in '\n'.  Returns the bytes written, or -1, writing nothing, when
-   cap holds fewer than 25 bytes per value. */
-int64_t format_rows(int64_t n, int64_t ncols, int64_t ld, const uint64_t *cols,
-                    const uint8_t *ints, char *buf, int64_t cap)
+/* Format the n rows of the C-contiguous (ncols, n) array cols as CSV into
+   buf: column j, the n values at cols[j * n], is int64 written as "%lld"
+   where ints[j], else float64 written as "%.17g"; values are separated by
+   ',' and each row ends in '\n'.  Returns the bytes written, or -1, writing
+   nothing, when cap holds fewer than 25 bytes per value. */
+int64_t format_rows(int64_t n, int64_t ncols, const uint64_t *cols, const uint8_t *ints,
+                    char *buf, int64_t cap)
 {
     if (cap < 25 * n * ncols)
         return -1;
     char *b = buf;
     for (int64_t i = 0; i < n; i++)
         for (int64_t j = 0; j < ncols; j++) {
-            uint64_t v = cols[j * ld + i];
+            uint64_t v = cols[j * n + i];
             b = ints[j] ? b + snprintf(b, 25, "%lld", (long long)v) : put_double(b, v);
             *b++ = j + 1 < ncols ? ',' : '\n';
         }
@@ -362,7 +350,7 @@ def _load_kernel():
     kernel.seed_runs.argtypes = [i64, ctypes.c_uint64, u8]
     kernel.advance.argtypes = [i64, u8, f8, i64, i8, i64, i32, f8, f8, i64, i64]
     kernel.rk4.argtypes = [f8, i64, f8, i8]
-    kernel.format_rows.argtypes = [i64, i64, i64, u8, b1, b1, i64]
+    kernel.format_rows.argtypes = [i64, i64, u8, b1, b1, i64]
     kernel.seed_runs.restype = kernel.advance.restype = None
     kernel.rk4.restype = i32
     kernel.format_rows.restype = i64

@@ -38,8 +38,7 @@ def kernel_rows(*columns: np.ndarray) -> bytes:
     block = np.array([c.view(np.uint64) for c in columns])
     ints = np.array([c.dtype.kind == "i" for c in columns], dtype=np.uint8)
     buf = np.empty(block.size * _CSV_VALUE_BYTES, dtype=np.uint8)
-    n = block.shape[1]
-    size = _load_kernel().format_rows(n, len(columns), n, block, ints, buf, buf.size)
+    size = _load_kernel().format_rows(block.shape[1], len(columns), block, ints, buf, buf.size)
     return buf[:size].tobytes()
 
 
@@ -541,7 +540,7 @@ class TestCsvOutput:
         got_x = np.array([[float(r[1]), float(r[2])] for r in rows[1:]])
         assert got_t == traj.t.tolist()
         assert np.array_equal(got_x, traj.x)  # 17 digits round-trip exactly
-        monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 3)  # 4 rows: a partial last chunk
+        monkeypatch.setattr(cli, "_BLOCK_BUDGET", 9)  # 3 rows of 3 columns; 4 rows: 3 + 1
         assert run_cli(capsys, *argv, "--out", str(tmp_path / "chunked.csv"))[0] == 0
         assert (tmp_path / "chunked.csv").read_bytes() == path.read_bytes()
 
@@ -555,7 +554,7 @@ class TestCsvOutput:
         traj = integrate(case1, JointState(0.9, 0.1), 0.99, step=0.1, t_max=1.0)
         got = np.array(rows[1:], dtype=np.float64)
         assert np.array_equal(got, np.column_stack([traj.t, traj.x]))  # floats round-trip
-        monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 3)  # 11 rows: a partial last chunk
+        monkeypatch.setattr(cli, "_BLOCK_BUDGET", 9)  # 3 rows of 3 columns; 11 rows: 3+3+3+2
         assert run_cli(capsys, *argv, "--out", str(tmp_path / "chunked.csv"))[0] == 0
         assert (tmp_path / "chunked.csv").read_bytes() == path.read_bytes()
 
@@ -576,16 +575,34 @@ class TestCsvOutput:
 
     @pytest.mark.parametrize("with_int", [False, True], ids=["float", "int+float"])
     def test_write_csv_equals_python_rows_in_any_chunking(self, tmp_path, monkeypatch, with_int):
+        """The bytes do not depend on the chunking, and no format_rows call
+        reads more than max(_BLOCK_BUDGET, ncols) values."""
+        calls = []  # the values each format_rows call reads
+
+        class SpyKernel:
+            def format_rows(self, n, ncols, *args):
+                calls.append(n * ncols)
+                return _load_kernel().format_rows(n, ncols, *args)
+
+        kernel = SpyKernel()
+        monkeypatch.setattr(cli, "_load_kernel", lambda: kernel)
         rng = np.random.default_rng(3)
-        table = rng.standard_normal((7, 4)) * 10.0 ** rng.integers(-9, 20, (7, 4))
-        columns = list(table.T)  # strided, as a trajectory's columns are
-        if with_int:
-            columns[0] = rng.integers(-(2**63), 2**63 - 1, 7)
-        want = b"a,b,c,d\n" + python_rows(*columns)
-        for rows_per_write in (1 << 18, 3):  # 7 rows in one chunk, then 3 + 3 + 1
-            monkeypatch.setattr(cli, "_ROWS_PER_WRITE", rows_per_write)
-            cli._write_csv(str(tmp_path / "x.csv"), "a,b,c,d", *columns)
-            assert (tmp_path / "x.csv").read_bytes() == want
+        for ncols in (3, 4):
+            table = rng.standard_normal((7, ncols)) * 10.0 ** rng.integers(-9, 20, (7, ncols))
+            columns = list(table.T)  # strided, as a trajectory's columns are
+            if with_int:
+                columns[0] = rng.integers(-(2**63), 2**63 - 1, 7)
+            header = ",".join("abcd"[:ncols])
+            want = f"{header}\n".encode() + python_rows(*columns)
+            # 7 rows in one chunk; 3 + 3 + 1 rows (9 values: 3 rows of 3
+            # columns, 12 values: 3 rows of 4); a budget below one row
+            for budget, chunks in ((1 << 18, [7]), (3 * ncols, [3, 3, 1]), (2, [1] * 7)):
+                calls.clear()
+                monkeypatch.setattr(cli, "_BLOCK_BUDGET", budget)
+                cli._write_csv(str(tmp_path / "x.csv"), header, *columns)
+                assert (tmp_path / "x.csv").read_bytes() == want
+                assert calls == [rows * ncols for rows in chunks]
+                assert max(calls) <= max(budget, ncols)
 
 
 def _neighbours(x: float) -> list[float]:
@@ -594,12 +611,13 @@ def _neighbours(x: float) -> list[float]:
 
 # Where a 17-digit formatter can go wrong: exact ties of the last digit
 # (n + 0.25, n + 0.5 near 10^15), each power of ten and its neighbours (a
-# digit-count boundary), the edges of the integer path (1e-6 and 2^53) and
-# the values outside it (zeros, subnormals, infinities, NaN).
+# digit-count boundary), the edges of the integer path (1e-4 and 2^53,
+# where "%.17g" starts to write an exponent) and the values outside it
+# (1e-6, zeros, subnormals, infinities, NaN).
 ADVERSARIAL = np.array([
     *(1e15 + n + f for n in range(50) for f in (0.25, 0.5, 0.75)),
     *(x for k in range(-323, 309) for x in _neighbours(float(f"1e{k}"))),
-    *_neighbours(1e-6), *_neighbours(2.0**53 - 1), *_neighbours(2.0**53),
+    *_neighbours(1e-4), *_neighbours(1e-6), *_neighbours(2.0**53 - 1), *_neighbours(2.0**53),
     0.0, 5e-324, 2.2250738585072014e-308, np.inf, np.nan,
 ])
 
@@ -629,7 +647,7 @@ class TestFormatRows:
         block, ints = x.view(np.uint64).reshape(1, 2), np.zeros(1, np.uint8)
         buf = np.full(64, 7, dtype=np.uint8)
         format_rows = _load_kernel().format_rows
-        assert format_rows(2, 1, 2, block, ints, buf, 2 * _CSV_VALUE_BYTES - 1) == -1
+        assert format_rows(2, 1, block, ints, buf, 2 * _CSV_VALUE_BYTES - 1) == -1
         assert (buf == 7).all()
-        assert format_rows(2, 1, 2, block, ints, buf, 2 * _CSV_VALUE_BYTES) == len(want)
+        assert format_rows(2, 1, block, ints, buf, 2 * _CSV_VALUE_BYTES) == len(want)
         assert buf[: len(want)].tobytes() == want and (buf[len(want) :] == 7).all()
