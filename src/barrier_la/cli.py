@@ -3,10 +3,11 @@
 Structured reports (classify, fixed-points, basin-split) go to stdout as
 JSON; anything plottable (simulate, ensemble, error-table, ode-field,
 ode-trajectory) goes to the --out path as CSV under the header named in
-the command's help.  A CSV row is its values, "%d" for an integer column
-and exactly Python's "%.17g" for the rest (so floats round-trip), joined
-by commas and ended by a line feed.  The C kernel's format_rows writes the
-rows, so every CSV command needs the C compiler.
+the command's help.  A CSV row is its values joined by commas and ended by
+a line feed, each value exactly Python's "%.17g" of its float64 (so floats
+round-trip); integer columns are converted first, so a step count below
+2^53 prints as "%d" would.  The C kernel's format_rows writes the rows, so
+every CSV command needs the C compiler.
 
 Exit codes: 0 success; 1 validation error, that is any ValueError
 (DegenerateGame, NotInSimplex and NotCase3 among them), OSError (an
@@ -145,17 +146,19 @@ def _sim_config(args, spec: GameSpec) -> harness.SimConfig:
 
 
 def _write_csv(path: str, header: str, *columns: np.ndarray) -> None:
-    """Write header, then row i of the int64 or float64 columns, formatted by
-    the kernel's format_rows one contiguous (columns, rows) chunk per call."""
+    """Write header, then row i of the columns, formatted by the kernel's
+    format_rows one float64 (columns, rows) chunk per call.  A call that
+    fails is a fault in this program and raises RuntimeError."""
     format_rows = _load_kernel().format_rows  # before open: without it, no file
     step = max(_BLOCK_BUDGET // len(columns), 1)  # rows per chunk
-    ints = np.array([c.dtype.kind == "i" for c in columns], dtype=np.uint8)
     buf = np.empty(min(len(columns[0]), step) * len(columns) * _CSV_VALUE_BYTES, np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"{header}\n".encode())
         for i in range(0, len(columns[0]), step):
-            block = np.stack([c[i : i + step].view(np.uint64) for c in columns])
-            size = format_rows(block.shape[1], len(columns), block, ints, buf, buf.size)
+            block = np.stack([c[i : i + step] for c in columns], dtype=np.float64)
+            size = format_rows(block.shape[1], len(columns), block, buf, buf.size)
+            if size < 0:
+                raise RuntimeError(f"format_rows failed on {block.size} values in {buf.size} bytes")
             fh.write(buf[:size])
 
 

@@ -25,8 +25,8 @@ import numpy as np
 # rk4 writes at most _BLOCK_BUDGET.  Block boundaries never affect results:
 # run state, stream and RK4 state carry over.
 _BLOCK_BUDGET = 1 << 18
-# The bytes format_rows needs per value: at most 24 of "%.17g" (or "%lld")
-# and one of the separator.
+# The bytes format_rows needs per value: at most 24 of "%.17g" and one of
+# the separator.
 _CSV_VALUE_BYTES = 25
 
 _KERNEL_C = r"""
@@ -213,31 +213,22 @@ static const u128 POW10[22] = {
 #define E16 10000000000000000u
 #define E17 100000000000000000u
 
-/* Write the double x whose bits these are as Python's "%.17g" % x would
-   at b, at most 24 bytes plus the NUL of snprintf; returns the end.  For
-   |x| in [1e-4, 2^53), where X = floor(log10 |x|) is in [-4, 15] and so
-   "%.17g" writes no exponent, the digits are exact integer arithmetic:
-   |x| = m / 2^s, N = m * 10^k with k = 16 - X, so that q = N >> s has 17
-   digits, then q is rounded half to even on the exact remainder.  Zeros
-   are "0" or "-0", NaN is "nan" whatever its sign, as Python prints it, and
-   all else, every value with an exponent, goes to snprintf. */
-static char *put_double(char *b, uint64_t bits)
+/* Write x as Python's "%.17g" % x would at b, at most 24 bytes plus the
+   NUL of snprintf; returns the end.  Two paths.  For |x| in [1e-4, 2^53),
+   where X = floor(log10 |x|) is in [-4, 15] and so "%.17g" writes no
+   exponent, the digits are exact integer arithmetic: |x| = m / 2^s,
+   N = m * 10^k with k = 16 - X, so that q = N >> s has 17 digits, then q is
+   rounded half to even on the exact remainder.  All else (zeros,
+   subnormals, infinities, NaN and every value with an exponent) goes to
+   snprintf, NaN as its fabs: a clear sign bit prints "nan", as Python
+   prints every NaN. */
+static char *put_double(char *b, double x)
 {
-    double x;
-    memcpy(&x, &bits, sizeof x);
     double a = fabs(x);
-    if (x != x) {
-        memcpy(b, "nan", 3);
-        return b + 3;
-    }
-    if (a == 0) {
-        if (bits >> 63)
-            *b++ = '-';
-        *b++ = '0';
-        return b;
-    }
     if (!(a >= 1e-4 && a < 9007199254740992.0))
-        return b + snprintf(b, 25, "%.17g", x);
+        return b + snprintf(b, 25, "%.17g", x == x ? x : a);
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
     uint64_t m = (bits & ((1ull << 52) - 1)) | 1ull << 52; /* |x| = m / 2^s, s in [0, 66] */
     int s = 1075 - (int)(bits >> 52 & 0x7ff);
     int X = (int)floor((52 - s) * 0.30102999566398120); /* X or X - 1 */
@@ -284,21 +275,19 @@ static char *put_double(char *b, uint64_t bits)
     return b;
 }
 
-/* Format the n rows of the C-contiguous (ncols, n) array cols as CSV into
-   buf: column j, the n values at cols[j * n], is int64 written as "%lld"
-   where ints[j], else float64 written as "%.17g"; values are separated by
-   ',' and each row ends in '\n'.  Returns the bytes written, or -1, writing
-   nothing, when cap holds fewer than 25 bytes per value. */
-int64_t format_rows(int64_t n, int64_t ncols, const uint64_t *cols, const uint8_t *ints,
-                    char *buf, int64_t cap)
+/* Format the n rows of the C-contiguous (ncols, n) float64 array cols as
+   CSV into buf: column j is the n values at cols[j * n], each written by
+   put_double, separated by ',' with each row ended by '\n'.  Returns the
+   bytes written, or -1, writing nothing, when cap holds fewer than 25 bytes
+   per value. */
+int64_t format_rows(int64_t n, int64_t ncols, const double *cols, char *buf, int64_t cap)
 {
     if (cap < 25 * n * ncols)
         return -1;
     char *b = buf;
     for (int64_t i = 0; i < n; i++)
         for (int64_t j = 0; j < ncols; j++) {
-            uint64_t v = cols[j * n + i];
-            b = ints[j] ? b + snprintf(b, 25, "%lld", (long long)v) : put_double(b, v);
+            b = put_double(b, cols[j * n + i]);
             *b++ = j + 1 < ncols ? ',' : '\n';
         }
     return b - buf;
@@ -350,7 +339,7 @@ def _load_kernel():
     kernel.seed_runs.argtypes = [i64, ctypes.c_uint64, u8]
     kernel.advance.argtypes = [i64, u8, f8, i64, i8, i64, i32, f8, f8, i64, i64]
     kernel.rk4.argtypes = [f8, i64, f8, i8]
-    kernel.format_rows.argtypes = [i64, i64, u8, b1, b1, i64]
+    kernel.format_rows.argtypes = [i64, i64, f8, b1, i64]
     kernel.seed_runs.restype = kernel.advance.restype = None
     kernel.rk4.restype = i32
     kernel.format_rows.restype = i64

@@ -27,18 +27,17 @@ def run_cli(capsys, *argv):
 
 
 def python_rows(*columns: np.ndarray) -> bytes:
-    """The CSV rows as Python's own formatting gives them: "%d" for integer
-    columns, "%.17g" for the rest."""
-    row = ",".join("%d" if c.dtype.kind == "i" else "%.17g" for c in columns) + "\n"
-    return "".join(row % v for v in zip(*(c.tolist() for c in columns))).encode()
+    """The CSV rows as Python's own formatting gives them: "%.17g" % float(v)
+    for every value of every column."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    return "".join(row % tuple(map(float, v)) for v in zip(*(c.tolist() for c in columns))).encode()
 
 
 def kernel_rows(*columns: np.ndarray) -> bytes:
     """The same rows from one call of the kernel's format_rows."""
-    block = np.array([c.view(np.uint64) for c in columns])
-    ints = np.array([c.dtype.kind == "i" for c in columns], dtype=np.uint8)
+    block = np.array(columns, dtype=np.float64)
     buf = np.empty(block.size * _CSV_VALUE_BYTES, dtype=np.uint8)
-    size = _load_kernel().format_rows(block.shape[1], len(columns), block, ints, buf, buf.size)
+    size = _load_kernel().format_rows(block.shape[1], len(columns), block, buf, buf.size)
     return buf[:size].tobytes()
 
 
@@ -603,6 +602,21 @@ class TestCsvOutput:
                 assert (tmp_path / "x.csv").read_bytes() == want
                 assert calls == [rows * ncols for rows in chunks]
                 assert max(calls) <= max(budget, ncols)
+        if with_int:  # all integers: np.stack alone would keep them int64
+            cli._write_csv(str(tmp_path / "x.csv"), "a", columns[0])
+            assert (tmp_path / "x.csv").read_bytes() == b"a\n" + python_rows(columns[0])
+
+    def test_a_failed_format_rows_raises(self, tmp_path, monkeypatch):
+        """format_rows returns -1 only on a buffer this program sized wrong;
+        _write_csv raises instead of writing the stale buffer."""
+
+        class SpyKernel:
+            def format_rows(self, *args):
+                return -1
+
+        monkeypatch.setattr(cli, "_load_kernel", SpyKernel)
+        with pytest.raises(RuntimeError, match="format_rows failed on 6 values in 150 bytes"):
+            cli._write_csv(str(tmp_path / "x.csv"), "a,b", np.zeros(3), np.ones(3))
 
 
 def _neighbours(x: float) -> list[float]:
@@ -623,7 +637,8 @@ ADVERSARIAL = np.array([
 
 
 class TestFormatRows:
-    """The kernel's format_rows equals Python's "%d" and "%.17g" byte for byte."""
+    """The kernel's format_rows equals Python's "%.17g" of each value's
+    float64 byte for byte, so an integer column below 2^53 prints as "%d"."""
 
     @settings(max_examples=300, deadline=None)
     @given(rows=st.lists(st.tuples(INT64, FLOAT64, FLOAT64), min_size=1, max_size=40))
@@ -639,15 +654,20 @@ class TestFormatRows:
 
     def test_int64_extremes(self):
         t = np.array([np.iinfo(np.int64).min, -1, 0, 1, np.iinfo(np.int64).max])
-        assert kernel_rows(t, t.astype(np.float64)) == python_rows(t, t.astype(np.float64))
+        want = b"-9.2233720368547758e+18\n-1\n0\n1\n9.2233720368547758e+18\n"
+        assert kernel_rows(t) == python_rows(t) == want
+
+    def test_step_counts_print_as_integers(self):
+        t = np.array([0, 1, 100, 30_000_000, 10**15, 2**53 - 1, 2**53])
+        assert kernel_rows(t) == "".join("%d\n" % v for v in t.tolist()).encode()
 
     def test_never_writes_past_the_capacity(self):
         x = np.array([-1.2345678901234567e-308, 1.0])  # the widest value, 24 bytes
         want = python_rows(x)
-        block, ints = x.view(np.uint64).reshape(1, 2), np.zeros(1, np.uint8)
+        block = x.reshape(1, 2)
         buf = np.full(64, 7, dtype=np.uint8)
         format_rows = _load_kernel().format_rows
-        assert format_rows(2, 1, block, ints, buf, 2 * _CSV_VALUE_BYTES - 1) == -1
+        assert format_rows(2, 1, block, buf, 2 * _CSV_VALUE_BYTES - 1) == -1
         assert (buf == 7).all()
-        assert format_rows(2, 1, block, ints, buf, 2 * _CSV_VALUE_BYTES) == len(want)
+        assert format_rows(2, 1, block, buf, 2 * _CSV_VALUE_BYTES) == len(want)
         assert buf[: len(want)].tobytes() == want and (buf[len(want) :] == 7).all()

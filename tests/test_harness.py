@@ -465,7 +465,7 @@ class TestBasinSplit:
 
 class TestCsvOutput:
     def test_engine_steps_are_int64(self, case1):
-        # the CLI's CSV writer prints int64 steps with %d, so no cast is needed
+        # the CLI writes these steps as float64 "%.17g", which equals "%d" below 2^53
         c = sim_config(case1, steps=250)
         assert run_game(c).t.dtype == np.int64
         assert run_ensemble(c, runs=2).t.dtype == np.int64
