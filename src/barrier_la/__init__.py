@@ -38,7 +38,6 @@ from .game import (
 )
 from .harness import (
     BasinSplit,
-    ErrorTableRow,
     NotCase3,
     SimConfig,
     basin_split,

@@ -189,11 +189,10 @@ def _cmd_error_table(args, spec: GameSpec):
     if (args.target_p is None) != (args.target_q is None):
         raise ValueError("provide both --target-p and --target-q or neither")
     target = None if args.target_p is None else JointState(args.target_p, args.target_q)
-    rows = harness.error_table(
+    return harness.error_table(
         spec, target, p_max_values, theta_values, steps=args.steps, seed=args.seed,
         x0=JointState(args.p0, args.q0), record_stride=args.stride,
     )
-    return np.array([(r.p_max, r.theta, r.error) for r in rows], dtype=np.float64).T
 
 
 def _cmd_basin_split(args, spec: GameSpec) -> dict:

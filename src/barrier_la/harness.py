@@ -72,19 +72,6 @@ def _check_count(name: str, v, lo: int, bits: int = 63) -> None:
 
 
 @dataclass(frozen=True)
-class ErrorTableRow:
-    """One steady-state error measurement for a (p_max, theta) cell."""
-
-    p_max: float
-    theta: float
-    error: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.error <= math.sqrt(2.0) + 1e-12:
-            raise ValueError(f"error {self.error} outside [0, sqrt(2)]")
-
-
-@dataclass(frozen=True)
 class BasinSplit:
     """Empirical fraction of runs captured by each stable fixed point."""
 
@@ -139,17 +126,19 @@ def error_table(
     spec: GameSpec, target: Optional[JointState], p_max_values: Sequence[float],
     theta_values: Sequence[float], steps: int, seed: int,
     x0: JointState = JointState(0.5, 0.5), record_stride: int = 100,
-) -> list[ErrorTableRow]:
+) -> np.ndarray:
     """One single-run steady-state error per (p_max, theta) cell.
 
-    Rows follow the input order, p_max outer and theta inner.  All cells
-    share the base seed, so differences between cells reflect the
-    parameters rather than the noise stream.  Each cell scores the distance
-    from its late-time mean to the nearest of its candidate targets: target
-    when given, otherwise the game's pure equilibria, or its mixed
-    equilibrium when it has none.  A run that absorbs at a pure corner
-    therefore reports 0.0.  Every cell's config is checked before the
-    first cell runs, so an invalid cell raises at once.
+    Returns a C-contiguous float64 array of shape (3, cells) whose rows are
+    p_max, theta and error; the cells follow the input order, p_max outer
+    and theta inner.  All cells share the base seed, so differences between
+    cells reflect the parameters rather than the noise stream.  Each cell
+    runs once and scores the distance from its late-time mean to the
+    nearest of its candidate targets: target when given, otherwise the
+    game's pure equilibria, or its mixed equilibrium when it has none.  A
+    run that absorbs at a pure corner therefore reports 0.0.  Every cell's
+    config is checked before the first cell runs, so an invalid cell raises
+    at once.
     """
     if not p_max_values or not theta_values:
         raise ValueError("p_max_values and theta_values must be non-empty")
@@ -159,12 +148,8 @@ def error_table(
         targets = pure_equilibria(spec) or [JointState(*mixed_equilibrium(spec))]
     cfgs = [LearnerConfig(theta, p_max) for p_max in p_max_values for theta in theta_values]
     cells = [SimConfig(spec, cfg, cfg, x0, steps, seed, record_stride) for cfg in cfgs]
-    rows = []
-    for c in cells:
-        traj = run_game(c)
-        error = min(steady_state_error(traj, t) for t in targets)
-        rows.append(ErrorTableRow(c.cfg_a.p_max, c.cfg_a.theta, error))
-    return rows
+    errors = [min(steady_state_error(traj, t) for t in targets) for traj in map(run_game, cells)]
+    return np.array([[c.p_max for c in cfgs], [c.theta for c in cfgs], errors], np.float64)
 
 
 def basin_split(

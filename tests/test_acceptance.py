@@ -176,7 +176,7 @@ def test_criterion_04_error_table_reproduction():
     seed = 3
     t0 = time.perf_counter()
     p_max_values = sorted(REFERENCE_ERRORS)
-    rows = error_table(
+    _, _, errors = error_table(
         CASE1,
         JointState(0.6667, 0.3333),
         p_max_values,
@@ -186,7 +186,6 @@ def test_criterion_04_error_table_reproduction():
         record_stride=100,
     )
     dt = time.perf_counter() - t0
-    errors = np.array([row.error for row in rows])
     ratios = errors / np.array([REFERENCE_ERRORS[p] for p in p_max_values])
     rho = spearman(np.array(p_max_values), errors)
     ok = bool(np.all((ratios >= 0.3) & (ratios <= 3.0)) and rho <= -0.8)

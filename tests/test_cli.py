@@ -189,6 +189,25 @@ class TestValidation:
         assert "2**63" in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("error-table", "--pmax-list", "0.99,x", "--theta-list", "0.01"),
+             "--pmax-list must be comma-separated numbers"),
+            (("error-table", "--pmax-list", "0.99", "--theta-list", ","),
+             "--theta-list must be non-empty"),
+            (("error-table", "--pmax-list", "0.99", "--theta-list", "0.01", "--target-p", "0.5"),
+             "provide both --target-p and --target-q or neither"),
+            (("ode-field", "--grid-n", "1"), "grid-n must be >= 2"),
+        ],
+        ids=["pmax-list", "theta-list", "target-p-alone", "grid-n"],
+    )
+    def test_bad_command_input_is_validation_error(self, capsys, tmp_path, argv, message):
+        out = tmp_path / "x.csv"
+        rc, stdout, err = run_cli(capsys, *argv, "--preset", "case1", "--out", str(out))
+        assert (rc, stdout, err) == (1, "", f"error: {message}\n")
+        assert not out.exists()
+
     def test_unknown_flag_is_usage_error(self, capsys, tmp_path):
         rc, _, _ = run_cli(
             capsys, "simulate", "--preset", "case1", "--frobnicate", "1",
@@ -565,11 +584,13 @@ class TestCsvOutput:
             "--target-p", "0.6667", "--target-q", "0.3333", "--out", str(path),
         )
         assert rc == 0
-        rows = error_table(case1, JointState(0.6667, 0.3333), [0.99], [0.05], steps=500, seed=2)
+        _, _, errors = error_table(
+            case1, JointState(0.6667, 0.3333), [0.99], [0.05], steps=500, seed=2
+        )
         with open(path) as fh:
             parsed = list(csv.DictReader(fh))
         assert len(parsed) == 1
-        assert float(parsed[0]["error"]) == rows[0].error
+        assert float(parsed[0]["error"]) == errors[0]
         assert float(parsed[0]["p_max"]) == 0.99
 
     @pytest.mark.parametrize("with_int", [False, True], ids=["float", "int+float"])

@@ -270,7 +270,7 @@ class SliceKernel:
 
     def __init__(self, fail_at=None, delay=0.0):
         self.fail_at, self.delay = fail_at, delay
-        self.done = []  # (r0, thread ident) of each slice that finished
+        self.done = []  # (r0, Thread) of each slice that finished
 
     def seed_runs(self, *args):
         _load_kernel().seed_runs(*args)
@@ -281,7 +281,7 @@ class SliceKernel:
             raise RuntimeError(f"slice at run {r0}")
         time.sleep(self.delay)
         _load_kernel().advance(*args)
-        self.done.append((r0, threading.get_ident()))
+        self.done.append((r0, threading.current_thread()))
 
 
 class TestRunSlices:
@@ -334,7 +334,8 @@ class TestRunSlices:
             gen.close()
         assert threading.active_count() == before
         assert sorted(r0 for r0, _ in kernel.done) == [0, 0, 1, 1, 2, 2]
-        assert len({ident for _, ident in kernel.done}) >= 3  # each block ran on three threads
+        # done keeps each Thread alive, so unlike an ident none is reused
+        assert len({thread for _, thread in kernel.done}) >= 3  # each block ran on three threads
 
     def test_without_sched_getaffinity_slices_by_cpu_count(self, case1, monkeypatch):
         """Where os has no sched_getaffinity (macOS), _simulate slices by
@@ -378,33 +379,40 @@ class TestErrorTable:
     def test_rows_follow_input_order_and_match_run_game(self, case1):
         p_max_values = [0.99, 0.95]
         theta_values = [0.05, 0.01]
-        rows = error_table(
+        table = error_table(
             case1, JointState(0.6667, 0.3333), p_max_values, theta_values,
             steps=2000, seed=9, record_stride=50,
         )
-        assert [(r.p_max, r.theta) for r in rows] == [
-            (0.99, 0.05), (0.99, 0.01), (0.95, 0.05), (0.95, 0.01)
-        ]
-        for row in rows:
-            c = sim_config(case1, row.theta, row.p_max, steps=2000, seed=9, stride=50)
-            expected = steady_state_error(run_game(c), JointState(0.6667, 0.3333))
-            assert row.error == expected
-        assert rows == error_table(
+        assert table.dtype == np.float64 and table.shape == (3, 4)
+        assert table.flags.c_contiguous
+        assert table[:2].T.tolist() == [[0.99, 0.05], [0.99, 0.01], [0.95, 0.05], [0.95, 0.01]]
+        for p_max, theta, error in table.T:
+            c = sim_config(case1, theta, p_max, steps=2000, seed=9, stride=50)
+            assert error == steady_state_error(run_game(c), JointState(0.6667, 0.3333))
+        assert np.array_equal(table, error_table(
             case1, JointState(0.6667, 0.3333), p_max_values, theta_values,
             steps=2000, seed=9, x0=JointState(0.5, 0.5), record_stride=50,
-        )
+        ))
 
     def test_default_target_of_a_mixed_only_game_is_its_mixed_equilibrium(self, case1):
         args = ([0.99, 0.95], [0.05], 2000, 9)
         mixed = JointState(*mixed_equilibrium(case1))
-        assert error_table(case1, None, *args) == error_table(case1, mixed, *args)
+        assert np.array_equal(error_table(case1, None, *args), error_table(case1, mixed, *args))
 
     def test_nearest_corner_target_for_two_equilibria(self, case3):
-        rows = error_table(case3, None, [0.99], [0.2], steps=4000, seed=3, record_stride=50)
-        assert len(rows) == 1
+        table = error_table(case3, None, [0.99], [0.2], steps=4000, seed=3, record_stride=50)
+        assert table.shape == (3, 1)
         # a large theta drives the run into one corner; the error is small
         # against the nearest corner even though the other is far away
-        assert rows[0].error < 0.2
+        assert table[2, 0] < 0.2
+
+    def test_each_cell_runs_once_whatever_its_targets(self, case3, monkeypatch):
+        """case3 scores each cell against its two corners from one run."""
+        calls = []
+        real_run_game = harness.run_game
+        monkeypatch.setattr(harness, "run_game", lambda c: calls.append(c) or real_run_game(c))
+        error_table(case3, None, [0.99, 0.95], [0.2], steps=1000, seed=3, record_stride=50)
+        assert len(calls) == 2
 
     def test_empty_parameter_lists_rejected(self, case1):
         with pytest.raises(ValueError):
