@@ -189,7 +189,11 @@ def basin_split(
 # the following sum.  _in_slices cuts each block's runs into one contiguous
 # slice per usable core and runs the slices on threads at once, as ctypes
 # releases the GIL; a call touches only its own runs' state and output
-# slots.  Seeding and the ensemble mean stay on one thread.
+# slots.  Within a slice, advance itself steps groups of eight runs in the
+# lanes of AVX-512 vectors where the CPU has avx512f and avx512dq, and the
+# rest on its one-run loop, with the same bytes either way (kernel.py), so
+# nothing here chooses between them.
+# Seeding and the ensemble mean stay on one thread.
 # ----------------------------------------------------------------------
 
 

@@ -7,6 +7,16 @@ is built from ``_KERNEL_C`` by the system's C compiler on first use (gcc or
 clang: the generator and the formatter need ``unsigned __int128``) and
 cached; without one, _load_kernel raises OSError, so every command that
 simulates or writes CSV needs the compiler.
+
+On x86-64 ``advance`` steps eight runs at once, one per 64-bit lane of an
+AVX-512 vector, when the CPU has avx512f and avx512dq.  It asks the CPU at
+run time, on every call; the vector functions are compiled for those
+extensions by a function attribute, so the compile command and the cache
+key do not change.  Each lane repeats the one-run loop's integer and
+IEEE-754 operations in their order, so a run gives the same bytes whichever
+loop steps it.  The one-run loop steps the rest of a slice (fewer than
+eight runs), every slice on a CPU without those extensions, and every run
+on other architectures.  There is no option to choose between them.
 """
 
 from __future__ import annotations
@@ -96,6 +106,108 @@ static inline double next_double(u128 *s, u128 inc)
     return (x >> 11) * (1.0 / 9007199254740992.0);
 }
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+
+#define AVX512 __attribute__((target("avx512f,avx512dq")))
+
+/* Eight PCG64 generators, one per 64-bit lane: state and increment, each
+   as its low and high words. */
+typedef struct {
+    __m512i lo, hi, ilo, ihi;
+} pcg8;
+
+/* next_double in each lane.  The product's low word, and the high word of
+   the product of the two low words, come from four 32 x 32-bit partial
+   products; the cross terms, low word times MULT's high word and high word
+   times MULT's low word, from mullo; adding the increment's low word
+   carries into the high word where the sum wraps.  All of it is exact
+   integer arithmetic, and x >> 11 < 2^53 converts to a double exactly, so
+   each lane gives next_double's bits. */
+static inline AVX512 __m512d next_double8(pcg8 *g)
+{
+    const __m512i m0 = _mm512_set1_epi64((int64_t)(uint64_t)MULT);
+    const __m512i m1 = _mm512_set1_epi64((int64_t)((uint64_t)MULT >> 32));
+    const __m512i mh = _mm512_set1_epi64((int64_t)(uint64_t)(MULT >> 64));
+    const __m512i low32 = _mm512_set1_epi64(0xffffffff);
+    __m512i a1 = _mm512_srli_epi64(g->lo, 32);
+    __m512i p00 = _mm512_mul_epu32(g->lo, m0), p01 = _mm512_mul_epu32(g->lo, m1);
+    __m512i p10 = _mm512_mul_epu32(a1, m0), p11 = _mm512_mul_epu32(a1, m1);
+    __m512i mid = _mm512_add_epi64(p10, _mm512_srli_epi64(p00, 32));
+    __m512i mid2 = _mm512_add_epi64(p01, _mm512_and_si512(mid, low32));
+    __m512i cross = _mm512_add_epi64(_mm512_mullo_epi64(g->lo, mh),
+                                     _mm512_mullo_epi64(g->hi, m0));
+    __m512i hi = _mm512_add_epi64(_mm512_add_epi64(p11, _mm512_srli_epi64(mid, 32)),
+                                  _mm512_srli_epi64(mid2, 32));
+    hi = _mm512_add_epi64(_mm512_add_epi64(hi, cross), g->ihi);
+    __m512i lo = _mm512_or_si512(_mm512_slli_epi64(mid2, 32), _mm512_and_si512(p00, low32));
+    lo = _mm512_add_epi64(lo, g->ilo);
+    hi = _mm512_mask_add_epi64(hi, _mm512_cmplt_epu64_mask(lo, g->ilo), hi,
+                               _mm512_set1_epi64(1));
+    g->lo = lo;
+    g->hi = hi;
+    __m512i x = _mm512_rorv_epi64(_mm512_xor_si512(hi, lo), _mm512_srli_epi64(hi, 58));
+    return _mm512_mul_pd(_mm512_cvtepu64_pd(_mm512_srli_epi64(x, 11)),
+                         _mm512_set1_pd(1.0 / 9007199254740992.0));
+}
+
+/* advance's loop for the runs [r0, r0 + 8 * floor((r1 - r0) / 8)), eight
+   runs a group in lockstep: lane i of a group is run r + i, and it takes
+   the scalar loop's steps in the scalar loop's order, comparisons and
+   table reads as masks and lane permutes.  Returns the first run it did
+   not advance. */
+static AVX512 int64_t advance8(int64_t runs, uint64_t *st, double *pq, int64_t t,
+                               const int64_t *rec, int64_t k, int ptype, const double *tab,
+                               double *out, int64_t r0, int64_t r1)
+{
+    const __m512i words = _mm512_setr_epi64(0, 4, 8, 12, 16, 20, 24, 28);
+    const __m512i one = _mm512_set1_epi64(1), two = _mm512_set1_epi64(2);
+    const __m512d fa = _mm512_broadcast_f64x4(_mm256_loadu_pd(tab));
+    const __m512d fb = _mm512_broadcast_f64x4(_mm256_loadu_pd(tab + 4));
+    const __m512d ta = _mm512_broadcast_f64x4(_mm256_loadu_pd(tab + 8));
+    const __m512d tb = _mm512_broadcast_f64x4(_mm256_loadu_pd(tab + 12));
+    const __m512d ga0 = _mm512_set1_pd(tab[16]), ga1 = _mm512_set1_pd(tab[17]);
+    const __m512d gb0 = _mm512_set1_pd(tab[18]), gb1 = _mm512_set1_pd(tab[19]);
+    int64_t r = r0;
+    for (; r + 8 <= r1; r += 8) {
+        long long *g = (long long *)(st + 4 * r);
+        pcg8 s = {_mm512_i64gather_epi64(words, g, 8), _mm512_i64gather_epi64(words, g + 1, 8),
+                  _mm512_i64gather_epi64(words, g + 2, 8),
+                  _mm512_i64gather_epi64(words, g + 3, 8)};
+        __m512d p = _mm512_loadu_pd(pq + r), q = _mm512_loadu_pd(pq + runs + r);
+        int64_t n = t;
+        for (int64_t j = 0; j < k; j++) {
+            for (; n < rec[j]; n++) {
+                __m512d u0 = next_double8(&s);
+                __m512d u1 = next_double8(&s);
+                __mmask8 a = _mm512_cmp_pd_mask(u0, p, _CMP_GE_OQ);
+                __mmask8 b = _mm512_cmp_pd_mask(u1, q, _CMP_GE_OQ);
+                __m512i x = _mm512_maskz_mov_epi64(a, two);
+                x = _mm512_mask_add_epi64(x, b, x, one);
+                __m512d f = _mm512_permutexvar_pd(x, fa), h = _mm512_permutexvar_pd(x, fb);
+                if (ptype) {
+                    __m512d u2 = next_double8(&s);
+                    __m512d u3 = next_double8(&s);
+                    f = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(u2, f, _CMP_LT_OQ), ga0, ga1);
+                    h = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(u3, h, _CMP_LT_OQ), gb0, gb1);
+                }
+                __m512d dp = _mm512_sub_pd(_mm512_permutexvar_pd(x, ta), p);
+                __m512d dq = _mm512_sub_pd(_mm512_permutexvar_pd(x, tb), q);
+                p = _mm512_add_pd(p, _mm512_mul_pd(f, dp));
+                q = _mm512_add_pd(q, _mm512_mul_pd(h, dq));
+            }
+            _mm512_storeu_pd(out + 2 * j * runs + r, p);
+            _mm512_storeu_pd(out + (2 * j + 1) * runs + r, q);
+        }
+        _mm512_i64scatter_epi64(g, words, s.lo, 8);
+        _mm512_i64scatter_epi64(g + 1, words, s.hi, 8);
+        _mm512_storeu_pd(pq + r, p);
+        _mm512_storeu_pd(pq + runs + r, q);
+    }
+    return r;
+}
+#endif
+
 /* Advance each run r in [r0, r1) from step t through the steps rec[0..k),
    storing its state after rec[j] steps at out[j][0][r] and out[j][1][r].
    st holds the runs' generators as seed_runs lays them out, pq the (2, runs)
@@ -103,7 +215,9 @@ static inline double next_double(u128 *s, u128 inc)
    feedback B, target A and target B, each indexed by the joint action
    x = 2*(u0 >= p) + (u1 >= q), then (0, theta_a, 0, theta_b).  A call reads
    and writes only the slots of its own runs, so calls on disjoint ranges
-   may run at the same time. */
+   may run at the same time.  Where the CPU has avx512f and avx512dq,
+   advance8 first steps whole groups of eight runs, and the loop below
+   steps the rest. */
 void advance(int64_t runs, uint64_t *st, double *pq, int64_t t, const int64_t *rec,
              int64_t k, int ptype, const double *tab, double *out, int64_t r0, int64_t r1)
 {
@@ -113,6 +227,11 @@ void advance(int64_t runs, uint64_t *st, double *pq, int64_t t, const int64_t *r
        equilibrium, where the draw is a coin flip, that jump mispredicts on
        most steps; the table read has no branch. */
     const double *ga = tab + 16, *gb = tab + 18;
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (r1 - r0 >= 8 && __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq"))
+        r0 = advance8(runs, st, pq, t, rec, k, ptype, tab, out, r0, r1);
+#endif
     for (int64_t r = r0; r < r1; r++) {
         uint64_t *g = st + 4 * r;
         u128 s = (u128)g[1] << 64 | g[0], inc = (u128)g[3] << 64 | g[2];

@@ -182,13 +182,15 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("model", [Model.P, Model.S])
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), runs=st.integers(1, 16), budget=st.integers(2, 400))
+    @given(data=st.data(), runs=st.integers(1, 24), budget=st.integers(2, 400))
     def test_blocks_match_reference_loop_at_any_slice_count(self, model, data, runs, budget):
         """On any config, any _BLOCK_BUDGET (so across block boundaries) and
         1, 2, 3 or 7 usable cores (so uneven slices, and fewer runs than
         cores), _simulate yields blocks of at most the budget's records,
         byte-equal to those of one slice, and lane k of their concatenation
-        is reference_loop at seed c.seed XOR k, bit for bit."""
+        is reference_loop at seed c.seed XOR k, bit for bit.  Up to 24 runs,
+        so that a slice of a 2-core split can still fill advance's eight
+        vector lanes."""
         c = data.draw(sim_configs(model))
         by_cores = {}
         for cores in (1, 2, 3, 7):
@@ -202,6 +204,26 @@ class TestRunEnsemble:
         for k in range(runs):
             ref = reference_loop(dataclasses.replace(c, seed=c.seed ^ k))
             assert x[:, :, k].tolist() == [[r[1], r[2]] for r in ref]
+
+    @pytest.mark.parametrize("model", [Model.P, Model.S])
+    @pytest.mark.parametrize("runs", [1, 7, 8, 9, 16, 17, 40])
+    def test_vector_lanes_and_tails_match_run_game(self, model, runs):
+        """advance steps eight runs at a time where the CPU has AVX-512 and
+        the rest of a slice one at a time.  Over run counts below, at and
+        past multiples of eight, cut into 1, 2 or 3 slices, with blocks of
+        40 records or fewer (so every run stops mid-way at least once), lane
+        k of _simulate is run_game at seed XOR k, which runs alone and so on
+        the one-run loop, bit for bit."""
+        spec = game_of((1.0, 0.0, 0.25, 1.0), (0.0, 1.0, 0.6, 0.0), model)
+        cfg_a, cfg_b = LearnerConfig(theta=0.05, p_max=1.0), LearnerConfig(theta=0.2, p_max=0.95)
+        c = SimConfig(spec, cfg_a, cfg_b, JointState(0.5, 0.3), 300, 0x9E3779B97F4A7C15, 7)
+        lanes = [run_game(dataclasses.replace(c, seed=c.seed ^ k)).x for k in range(runs)]
+        want = np.stack(lanes, axis=-1)
+        for cores in (1, 2, 3):
+            with usable_cores(cores), mock.patch.object(harness, "_BLOCK_BUDGET", 80):
+                blocks = list(_simulate(c, runs))
+            assert len(blocks) > 1
+            assert np.concatenate(blocks).tobytes() == want.tobytes()
 
     def test_mean_is_average_of_per_run_games(self, case1):
         c = sim_config(case1, steps=200, stride=100)
