@@ -90,9 +90,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.t)
 
-    def terminal(self) -> JointState:
-        return JointState(float(self.x[-1, 0]), float(self.x[-1, 1]))
-
 
 def _drives(spec: GameSpec, p1: float, q1: float) -> tuple[float, float, float, float]:
     """Expected payoff of each action against the opponent's mixed strategy:

@@ -117,9 +117,7 @@ def steady_state_error(traj: Trajectory, target: JointState) -> float:
     The mean is taken over the last 10% of the recorded samples (at least
     one sample).
     """
-    k = max(1, math.ceil(0.1 * len(traj)))
-    m = traj.x[-k:].mean(axis=0)
-    return float(math.hypot(m[0] - target.p1, m[1] - target.q1))
+    return _nearest(traj.x[-_late(len(traj)) :], [target])
 
 
 def error_table(
@@ -132,13 +130,15 @@ def error_table(
     Returns a C-contiguous float64 array of shape (3, cells) whose rows are
     p_max, theta and error; the cells follow the input order, p_max outer
     and theta inner.  All cells share the base seed, so differences between
-    cells reflect the parameters rather than the noise stream.  Each cell
-    runs once and scores the distance from its late-time mean to the
-    nearest of its candidate targets: target when given, otherwise the
-    game's pure equilibria, or its mixed equilibrium when it has none.  A
-    run that absorbs at a pure corner therefore reports 0.0.  Every cell's
-    config is checked before the first cell runs, so an invalid cell raises
-    at once.
+    cells reflect the parameters rather than the noise stream, and so the
+    cells run in one pass on that one stream: each step's draws are made
+    once and every cell steps on them.  Each cell scores as
+    steady_state_error(run_game(cell), t) would, against the nearest of its
+    candidate targets t: target when given, otherwise the game's pure
+    equilibria, or its mixed equilibrium when it has none.  A run that
+    absorbs at a pure corner therefore reports 0.0.  Every cell's config is
+    checked before the pass starts, so an invalid cell raises at once.
+    Only the records of the late-time window are kept.
     """
     if not p_max_values or not theta_values:
         raise ValueError("p_max_values and theta_values must be non-empty")
@@ -148,7 +148,25 @@ def error_table(
         targets = pure_equilibria(spec) or [JointState(*mixed_equilibrium(spec))]
     cfgs = [LearnerConfig(theta, p_max) for p_max in p_max_values for theta in theta_values]
     cells = [SimConfig(spec, cfg, cfg, x0, steps, seed, record_stride) for cfg in cfgs]
-    errors = [min(steady_state_error(traj, t) for t in targets) for traj in map(run_game, cells)]
+    tabs = np.stack([_table(c) for c in cells])
+    n = len(cells)
+    pq = np.empty((2, n))
+    pq[0], pq[1] = x0.p1, x0.q1
+    kernel = _load_kernel()
+    st = np.empty((1, 4), dtype=np.uint64)
+    kernel.seed_runs(1, seed, st)
+    t = _record_steps(cells[0])
+    late = _late(len(t))
+    kept = []
+    for start, rec in _blocks(t, n):
+        block = np.empty((len(rec), 2, n))
+        kernel.advance_cells(n, st, pq, start, rec, len(rec), spec.model is Model.P, tabs, block)
+        if rec[-1] >= t[-late]:  # the block reaches the late window: keep it
+            kept.append(block)
+    window = np.concatenate(kept)[-late:]
+    # each cell's samples C-contiguous, as run_game's are, so that the mean
+    # sums them in the same order
+    errors = [_nearest(np.ascontiguousarray(window[:, :, c]), targets) for c in range(n)]
     return np.array([[c.p_max for c in cfgs], [c.theta for c in cfgs], errors], np.float64)
 
 
@@ -180,11 +198,15 @@ def basin_split(
 # Engine internals.  The C kernel (kernel.py), compiled on first use,
 # carries its own port of numpy's SeedSequence and PCG64: _simulate seeds
 # every run with its seed_runs and drives them through its advance() one
-# (records, 2, runs) block at a time.  Every constant advance reads, theta
-# included, is in one (5, 4) table that _simulate builds (its layout, and why
-# the P-model reward is a table read, are at advance).  advance only indexes
-# it and applies p <- p + f*(t - p), the same IEEE-754 operations as the
-# tests' one-draw-at-a-time reference loop on numpy's own generator.
+# (records, 2, runs) block at a time; _blocks cuts the record steps into
+# those calls.  Every constant advance reads, theta included, is in one
+# (5, 4) table that _table builds (its layout, and why the P-model reward is
+# a table read, are at advance).  advance only indexes it and applies
+# p <- p + f*(t - p), the same IEEE-754 operations as the tests'
+# one-draw-at-a-time reference loop on numpy's own generator.  error_table
+# seeds one stream and calls advance_cells, which steps every cell, each on
+# its own _table, in lockstep on that stream with advance's operations: the
+# cells share their draws, as they would share a seed in separate runs.
 # -ffp-contract=off (never -ffast-math) keeps C from fusing a product into
 # the following sum.  _in_slices cuts each block's runs into one contiguous
 # slice per usable core and runs the slices on threads at once, as ctypes
@@ -193,7 +215,7 @@ def basin_split(
 # lanes of AVX-512 vectors where the CPU has avx512f and avx512dq, and the
 # rest on its one-run loop, with the same bytes either way (kernel.py), so
 # nothing here chooses between them.
-# Seeding and the ensemble mean stay on one thread.
+# Seeding, the ensemble mean and error tables stay on one thread.
 # ----------------------------------------------------------------------
 
 
@@ -203,28 +225,51 @@ def _record_steps(c: SimConfig) -> np.ndarray:
     return t if c.steps % c.record_stride == 0 else np.append(t, np.int64(c.steps))
 
 
+def _late(records: int) -> int:
+    """The samples steady_state_error averages: the last 10%, at least one."""
+    return max(1, math.ceil(0.1 * records))
+
+
+def _nearest(late: np.ndarray, targets: Sequence[JointState]) -> float:
+    """Distance from the mean of the (k, 2) samples late to the nearest of targets."""
+    m = late.mean(axis=0)
+    return min(math.hypot(m[0] - g.p1, m[1] - g.q1) for g in targets)
+
+
+def _table(c: SimConfig) -> np.ndarray:
+    """The (5, 4) table of every constant the kernel reads to step c."""
+    a, b = c.cfg_a, c.cfg_b
+    fa, fb = ((m.r11, m.r12, m.r21, m.r22) for m in (c.spec.R, c.spec.C))
+    # S feeds theta * entry back; P draws a reward with the entry's probability
+    if c.spec.model is not Model.P:
+        fa, fb = [a.theta * e for e in fa], [b.theta * e for e in fb]
+    return np.array([fa, fb, (a.p_max, a.p_max, a.p_min, a.p_min),
+                     (b.p_max, b.p_min, b.p_max, b.p_min), (0.0, a.theta, 0.0, b.theta)],
+                    np.float64)
+
+
+def _blocks(t: np.ndarray, width: int):
+    """Cut the record steps t into kernel calls of at most _BLOCK_BUDGET
+    values, width per record and at least one record a call: yield each
+    call's start step and its records."""
+    k = max(1, _BLOCK_BUDGET // (2 * width))
+    for i in range(0, len(t), k):
+        yield (int(t[i - 1]) if i else 0), t[i : i + k]
+
+
 def _simulate(c: SimConfig, runs: int):
     """Yield the states of all runs of c at _record_steps(c), one block of
     shape (records, 2, runs) at a time.  Run k uses seed c.seed XOR k."""
     _check_count("runs", runs, 1)
-    a, b = c.cfg_a, c.cfg_b
-    ptype = c.spec.model is Model.P
-    fa, fb = ((m.r11, m.r12, m.r21, m.r22) for m in (c.spec.R, c.spec.C))
-    if not ptype:  # S feeds theta * entry back; P draws a reward with the entry's probability
-        fa, fb = [a.theta * e for e in fa], [b.theta * e for e in fb]
-    tab = np.array([fa, fb, (a.p_max, a.p_max, a.p_min, a.p_min),
-                    (b.p_max, b.p_min, b.p_max, b.p_min), (0.0, a.theta, 0.0, b.theta)], np.float64)
+    tab = _table(c)
     pq = np.empty((2, runs))  # before any per-run work, so an impossible runs fails at once
     pq[0], pq[1] = c.x0.p1, c.x0.q1
     kernel = _load_kernel()
     st = np.empty((runs, 4), dtype=np.uint64)
     kernel.seed_runs(runs, c.seed, st)
-    t = _record_steps(c)
-    k = max(1, _BLOCK_BUDGET // (2 * runs))
-    for i in range(0, len(t), k):
-        rec = t[i : i + k]
+    for start, rec in _blocks(_record_steps(c), runs):
         block = np.empty((len(rec), 2, runs))
-        _in_slices(kernel.advance, runs, st, pq, int(t[i - 1]) if i else 0, rec, len(rec), ptype,
+        _in_slices(kernel.advance, runs, st, pq, start, rec, len(rec), c.spec.model is Model.P,
                    tab, block)
         yield block
 

@@ -1,12 +1,15 @@
 """The compiled kernel library: the Monte Carlo step loop, the RK4 loop and
 the CSV row formatter.
 
-``harness`` drives ``seed_runs`` and ``advance``, ``dynamics`` drives
-``rk4`` and ``cli`` writes every CSV through ``format_rows``.  The library
-is built from ``_KERNEL_C`` by the system's C compiler on first use (gcc or
-clang: the generator and the formatter need ``unsigned __int128``) and
-cached; without one, _load_kernel raises OSError, so every command that
-simulates or writes CSV needs the compiler.
+``harness`` drives ``seed_runs``, ``advance`` and ``advance_cells``,
+``dynamics`` drives ``rk4`` and ``cli`` writes every CSV through
+``format_rows``.  ``advance`` steps runs that each own a stream;
+``advance_cells`` steps an error table's cells, which share one stream, in
+lockstep on it, so each step's draws are made once for all of them.  The
+library is built from ``_KERNEL_C`` by the system's C compiler on first use
+(gcc or clang: the generator and the formatter need ``unsigned __int128``)
+and cached; without one, _load_kernel raises OSError, so every command
+that simulates or writes CSV needs the compiler.
 
 On x86-64 ``advance`` steps eight runs at once, one per 64-bit lane of an
 AVX-512 vector, when the CPU has avx512f and avx512dq.  It asks the CPU at
@@ -29,9 +32,10 @@ from pathlib import Path
 
 import numpy as np
 
-# Values per kernel call: advance writes records x 2 x runs, at most
-# max(_BLOCK_BUDGET, 2 * runs) as a block holds one record or more;
-# format_rows reads rows x ncols, at most max(_BLOCK_BUDGET, ncols) likewise;
+# Values per kernel call: advance writes records x 2 x runs (advance_cells
+# records x 2 x cells), at most max(_BLOCK_BUDGET, 2 * runs) as a block
+# holds one record or more; format_rows reads rows x ncols, at most
+# max(_BLOCK_BUDGET, ncols) likewise;
 # rk4 writes at most _BLOCK_BUDGET.  Block boundaries never affect results:
 # run state, stream and RK4 state carry over.
 _BLOCK_BUDGET = 1 << 18
@@ -262,6 +266,46 @@ void advance(int64_t runs, uint64_t *st, double *pq, int64_t t, const int64_t *r
     }
 }
 
+/* advance's one-run loop, stepping cells runs in lockstep on one shared
+   stream: st holds one generator as seed_runs(1, seed) lays it out, pq the
+   (2, cells) states, tabs one (5, 4) table per cell (cell c's at
+   tabs + 20c) and out the (records, 2, cells) block.  Each step draws u0,
+   u1 (and u2, u3 under P) once, then updates every cell with advance's
+   operations in their order, so cell c gets the bytes that advance gives
+   one run on that stream with the cell's table. */
+void advance_cells(int64_t cells, uint64_t *st, double *pq, int64_t t, const int64_t *rec,
+                   int64_t k, int ptype, const double *tabs, double *out)
+{
+    u128 s = (u128)st[1] << 64 | st[0], inc = (u128)st[3] << 64 | st[2];
+    double *p = pq, *q = pq + cells;
+    int64_t n = t;
+    for (int64_t j = 0; j < k; j++) {
+        for (; n < rec[j]; n++) {
+            double u0 = next_double(&s, inc);
+            double u1 = next_double(&s, inc);
+            double u2 = 0.0, u3 = 0.0;
+            if (ptype) {
+                u2 = next_double(&s, inc);
+                u3 = next_double(&s, inc);
+            }
+            for (int64_t c = 0; c < cells; c++) {
+                const double *tab = tabs + 20 * c;
+                int x = (u0 >= p[c] ? 2 : 0) + (u1 >= q[c]);
+                double f = tab[x], h = tab[4 + x];
+                if (ptype) {
+                    f = tab[16 + (u2 < f)];
+                    h = tab[18 + (u3 < h)];
+                }
+                p[c] = p[c] + f * (tab[8 + x] - p[c]);
+                q[c] = q[c] + h * (tab[12 + x] - q[c]);
+            }
+        }
+        memcpy(out + 2 * j * cells, pq, 2 * cells * sizeof *pq);
+    }
+    st[0] = (uint64_t)s;
+    st[1] = (uint64_t)(s >> 64);
+}
+
 /* The drift W(p, q) into w[0], w[1], with the operations of
    dynamics._field in their order.  tab as at rk4. */
 static void field(const double *tab, double p, double q, double *w)
@@ -417,13 +461,13 @@ _CC = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 @functools.cache
 def _load_kernel():
-    """The kernel library (seed_runs, advance, rk4 and format_rows).  Cached as
-    $XDG_CACHE_HOME/barrier_la/kernel-<sha256 of compile command and
-    source>.so (~/.cache when the variable is unset, empty or relative, as
-    the XDG Base Directory spec asks); later processes only load it.  Raises
-    OSError naming the compile command, the cache path and the cause when
-    it can be neither built nor loaded.  Imports are local so commands
-    that load no kernel skip them."""
+    """The kernel library (seed_runs, advance, advance_cells, rk4 and
+    format_rows).  Cached as $XDG_CACHE_HOME/barrier_la/kernel-<sha256 of
+    compile command and source>.so (~/.cache when the variable is unset,
+    empty or relative, as the XDG Base Directory spec asks); later
+    processes only load it.  Raises OSError naming the compile command, the
+    cache path and the cause when it can be neither built nor loaded.
+    Imports are local so commands that load no kernel skip them."""
     import hashlib
     # -lm after the source: a linker that defaults to --as-needed drops a
     # library named before the code that needs it (hypot)
@@ -457,9 +501,10 @@ def _load_kernel():
     )
     kernel.seed_runs.argtypes = [i64, ctypes.c_uint64, u8]
     kernel.advance.argtypes = [i64, u8, f8, i64, i8, i64, i32, f8, f8, i64, i64]
+    kernel.advance_cells.argtypes = [i64, u8, f8, i64, i8, i64, i32, f8, f8]
     kernel.rk4.argtypes = [f8, i64, f8, i8]
     kernel.format_rows.argtypes = [i64, i64, f8, b1, i64]
-    kernel.seed_runs.restype = kernel.advance.restype = None
+    kernel.seed_runs.restype = kernel.advance.restype = kernel.advance_cells.restype = None
     kernel.rk4.restype = i32
     kernel.format_rows.restype = i64
     return kernel

@@ -90,8 +90,8 @@ def ode_predicted_fractions(spec: GameSpec, x0: JointState, p_max: float, points
     """Basin fractions predicted by the mean ODE (the ODE method of stochastic
     approximation): all runs end at the stable point that the RK4 path from
     x0 reaches.  None if the path ends at none of the given points."""
-    end = integrate(spec, x0, p_max, step=0.01, t_max=1e4).terminal()
-    dist = [math.hypot(end.p1 - fp.x.p1, end.q1 - fp.x.q1) for fp in points]
+    end = integrate(spec, x0, p_max, step=0.01, t_max=1e4).x[-1]
+    dist = [math.hypot(end[0] - fp.x.p1, end[1] - fp.x.q1) for fp in points]
     k = int(np.argmin(dist))
     if dist[k] > 1e-6:
         return None
@@ -299,8 +299,8 @@ def test_criterion_08_s_learning():
         s_spec = spec.with_model(Model.S)
         fp = stable_points(spec, 0.99)[0]
         c = SimConfig(s_spec, cfg, cfg, JointState(0.5, 0.5), 2_000_000, 42, 100)
-        term = run_game(c).terminal()
-        dist = math.hypot(term.p1 - fp.x.p1, term.q1 - fp.x.q1)
+        term = run_game(c).x[-1]
+        dist = math.hypot(term[0] - fp.x.p1, term[1] - fp.x.q1)
         single_ok = single_ok and dist < 0.05
         details.append(f"{name} terminal dist {dist:.4f} (<0.05)")
     s_case3 = CASE3.with_model(Model.S)

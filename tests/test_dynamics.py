@@ -199,14 +199,14 @@ class TestIntegrate:
     def test_case1_flow_reaches_the_stable_point(self, case1):
         fp = stable_points(case1, 0.99)[0]
         traj = integrate(case1, JointState(0.5, 0.5), 0.99, step=0.01, t_max=1e4)
-        assert traj.terminal().p1 == pytest.approx(fp.x.p1, abs=1e-6)
-        assert traj.terminal().q1 == pytest.approx(fp.x.q1, abs=1e-6)
+        assert traj.x[-1, 0] == pytest.approx(fp.x.p1, abs=1e-6)
+        assert traj.x[-1, 1] == pytest.approx(fp.x.q1, abs=1e-6)
 
     def test_case3_upper_start_reaches_upper_equilibrium(self, case3):
         upper = max(stable_points(case3, 0.99), key=lambda fp: fp.x.p1)
         traj = integrate(case3, JointState(0.9, 0.9), 0.99, step=0.01, t_max=1e4)
-        assert traj.terminal().p1 == pytest.approx(upper.x.p1, abs=1e-6)
-        assert traj.terminal().q1 == pytest.approx(upper.x.q1, abs=1e-6)
+        assert traj.x[-1, 0] == pytest.approx(upper.x.p1, abs=1e-6)
+        assert traj.x[-1, 1] == pytest.approx(upper.x.q1, abs=1e-6)
 
     def test_case3_drift_at_center_points_into_lower_basin(self, case3):
         # d1a = 0.2 < d2a = 0.25 and d1b = d2b = 0.2 at (0.5, 0.5)
@@ -219,8 +219,8 @@ class TestIntegrate:
         low, high = stable_points(case3, 0.99)
         target = high if upper else low
         traj = integrate(case3, JointState(d, d), 0.99, step=0.01, t_max=1e4)
-        assert traj.terminal().p1 == pytest.approx(target.x.p1, abs=1e-6)
-        assert traj.terminal().q1 == pytest.approx(target.x.q1, abs=1e-6)
+        assert traj.x[-1, 0] == pytest.approx(target.x.p1, abs=1e-6)
+        assert traj.x[-1, 1] == pytest.approx(target.x.q1, abs=1e-6)
 
     def test_huge_step_raises(self, case1):
         with pytest.raises(StepTooLarge):

@@ -22,6 +22,8 @@ from barrier_la import (
     basin_split,
     error_table,
     mixed_equilibrium,
+    preset,
+    pure_equilibria,
     run_ensemble,
     run_game,
     steady_state_error,
@@ -416,6 +418,55 @@ class TestErrorTable:
             steps=2000, seed=9, x0=JointState(0.5, 0.5), record_stride=50,
         ))
 
+    @pytest.mark.parametrize("model", [Model.P, Model.S])
+    @pytest.mark.parametrize("n_pmax, n_theta", [(1, 1), (1, 2), (3, 3), (5, 4)],
+                             ids=["1-cell", "2-cells", "9-cells", "20-cells"])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_one_pass_scores_each_cell_as_its_own_run(self, model, n_pmax, n_theta, data):
+        """error_table steps every cell on the one stream in one pass, and
+        each error equals, bit for bit, steady_state_error of the cell's own
+        run_game against the nearest of its targets: a given target on any
+        preset, case2's or case3's pure corners, or case1's mixed point.
+        The cells differ in theta and p_max; from 9 cells on, the first
+        p_max is 1 and the last repeats the second, so cells repeat.  The
+        budget cuts the records into kernel calls of 1 to 3 records, so
+        every cell stops mid-run, and the late window of 5 records or more
+        spans several calls."""
+        rule = data.draw(st.sampled_from(["given", "corners", "mixed"]))
+        name = {"given": data.draw(st.sampled_from(["case1", "case2", "case3"])),
+                "corners": data.draw(st.sampled_from(["case2", "case3"])), "mixed": "case1"}[rule]
+        spec = dataclasses.replace(preset(name), model=model)
+        target = None
+        if rule == "given":
+            target = JointState(data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.0, 1.0)))
+            targets = [target]
+        elif rule == "corners":
+            targets = pure_equilibria(spec)
+        else:
+            targets = [JointState(*mixed_equilibrium(spec))]
+        p_max_values = data.draw(st.lists(
+            st.just(1.0) | st.floats(0.5, 1.0, exclude_min=True), min_size=n_pmax, max_size=n_pmax
+        ))
+        if n_pmax >= 3:
+            p_max_values[0], p_max_values[-1] = 1.0, p_max_values[1]
+        theta_values = data.draw(st.lists(
+            st.floats(1e-3, 0.999), min_size=n_theta, max_size=n_theta, unique=True
+        ))
+        lo, hi = 1.0 - min(p_max_values), min(p_max_values)
+        x0 = JointState(data.draw(st.floats(lo, hi)), data.draw(st.floats(lo, hi)))
+        steps, stride = data.draw(st.integers(200, 400)), data.draw(st.integers(1, 5))
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        cells = n_pmax * n_theta
+        budget = 2 * cells * data.draw(st.integers(1, 3)) + data.draw(st.integers(0, 2 * cells - 1))
+        with mock.patch.object(harness, "_BLOCK_BUDGET", budget):
+            table = error_table(spec, target, p_max_values, theta_values, steps, seed, x0, stride)
+        assert table.shape == (3, cells)
+        for p_max, theta, error in table.T:
+            cfg = LearnerConfig(theta, p_max)
+            run = run_game(SimConfig(spec, cfg, cfg, x0, steps, seed, stride))
+            assert error == min(steady_state_error(run, t) for t in targets)
+
     def test_default_target_of_a_mixed_only_game_is_its_mixed_equilibrium(self, case1):
         args = ([0.99, 0.95], [0.05], 2000, 9)
         mixed = JointState(*mixed_equilibrium(case1))
@@ -429,12 +480,24 @@ class TestErrorTable:
         assert table[2, 0] < 0.2
 
     def test_each_cell_runs_once_whatever_its_targets(self, case3, monkeypatch):
-        """case3 scores each cell against its two corners from one run."""
-        calls = []
-        real_run_game = harness.run_game
-        monkeypatch.setattr(harness, "run_game", lambda c: calls.append(c) or real_run_game(c))
+        """case3 scores each cell against its two corners from one pass: the
+        kernel steps the table's 1000 steps once, both cells in each call,
+        over several calls that each start where the last one stopped."""
+        real, calls = _load_kernel(), []
+
+        class Spy:
+            seed_runs = real.seed_runs
+
+            def advance_cells(self, cells, st, pq, t, rec, k, *rest):
+                calls.append((cells, t, int(rec[k - 1])))
+                real.advance_cells(cells, st, pq, t, rec, k, *rest)
+
+        monkeypatch.setattr(harness, "_load_kernel", Spy)
+        monkeypatch.setattr(harness, "_BLOCK_BUDGET", 40)  # 10 records a call
         error_table(case3, None, [0.99, 0.95], [0.2], steps=1000, seed=3, record_stride=50)
-        assert len(calls) == 2
+        assert len(calls) == 3 and {cells for cells, _, _ in calls} == {2}
+        ends = [end for _, _, end in calls]
+        assert [t for _, t, _ in calls] == [0, *ends[:-1]] and ends[-1] == 1000
 
     def test_empty_parameter_lists_rejected(self, case1):
         with pytest.raises(ValueError):
@@ -451,15 +514,15 @@ class TestErrorTable:
     def test_an_invalid_last_cell_raises_before_any_run(
         self, case1, monkeypatch, p_max_values, x0, message
     ):
-        calls = []
-        real_run_game = harness.run_game
-        monkeypatch.setattr(harness, "run_game", lambda c: calls.append(c) or real_run_game(c))
+        def no_kernel():
+            raise AssertionError("the kernel was loaded")
+
+        monkeypatch.setattr(harness, "_load_kernel", no_kernel)
         with pytest.raises(ValueError, match=message):
             error_table(
                 case1, JointState(0.6667, 0.3333), p_max_values, [0.01], steps=1000, seed=1,
                 x0=JointState(*x0),
             )
-        assert calls == []
 
     def test_error_shrinks_with_the_learning_rate(self, case1):
         """Steady-state error at p_max = 0.998 improves (or at worst matches,
