@@ -44,7 +44,6 @@ from .harness import (
     error_table,
     run_ensemble,
     run_game,
-    steady_state_error,
     terminal_states,
 )
 from .learner import LearnerConfig

@@ -18,6 +18,7 @@ clang); without one, _load_kernel raises OSError.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -111,15 +112,6 @@ def terminal_states(c: SimConfig, runs: int) -> np.ndarray:
     return block[-1].T.copy()
 
 
-def steady_state_error(traj: Trajectory, target: JointState) -> float:
-    """Euclidean distance between the late-time mean state and the target.
-
-    The mean is taken over the last 10% of the recorded samples (at least
-    one sample).
-    """
-    return _nearest(traj.x[-_late(len(traj)) :], [target])
-
-
 def error_table(
     spec: GameSpec, target: Optional[JointState], p_max_values: Sequence[float],
     theta_values: Sequence[float], steps: int, seed: int,
@@ -132,9 +124,10 @@ def error_table(
     and theta inner.  All cells share the base seed, so differences between
     cells reflect the parameters rather than the noise stream, and so the
     cells run in one pass on that one stream: each step's draws are made
-    once and every cell steps on them.  Each cell scores as
-    steady_state_error(run_game(cell), t) would, against the nearest of its
-    candidate targets t: target when given, otherwise the game's pure
+    once and every cell steps on them, and each cell records what
+    run_game(cell) records.  A cell's error is the Euclidean distance from
+    the mean of its last 10% of records (at least one) to the nearest of its
+    candidate targets: target when given, otherwise the game's pure
     equilibria, or its mixed equilibrium when it has none.  A run that
     absorbs at a pure corner therefore reports 0.0.  Every cell's config is
     checked before the pass starts, so an invalid cell raises at once.
@@ -149,24 +142,17 @@ def error_table(
     cfgs = [LearnerConfig(theta, p_max) for p_max in p_max_values for theta in theta_values]
     cells = [SimConfig(spec, cfg, cfg, x0, steps, seed, record_stride) for cfg in cfgs]
     tabs = np.stack([_table(c) for c in cells])
-    n = len(cells)
-    pq = np.empty((2, n))
-    pq[0], pq[1] = x0.p1, x0.q1
-    kernel = _load_kernel()
-    st = np.empty((1, 4), dtype=np.uint64)
-    kernel.seed_runs(1, seed, st)
     t = _record_steps(cells[0])
-    late = _late(len(t))
-    kept = []
-    for start, rec in _blocks(t, n):
-        block = np.empty((len(rec), 2, n))
-        kernel.advance_cells(n, st, pq, start, rec, len(rec), spec.model is Model.P, tabs, block)
-        if rec[-1] >= t[-late]:  # the block reaches the late window: keep it
-            kept.append(block)
-    window = np.concatenate(kept)[-late:]
-    # each cell's samples C-contiguous, as run_game's are, so that the mean
-    # sums them in the same order
-    errors = [_nearest(np.ascontiguousarray(window[:, :, c]), targets) for c in range(n)]
+    late = max(1, math.ceil(0.1 * len(t)))
+    blocks = _run_blocks(cells[0], 1, len(cells), _load_kernel().advance_cells, tabs)
+    # keep the blocks that reach the late window
+    window = np.concatenate([b for rec, b in blocks if rec[-1] >= t[-late]])[-late:]
+    errors = []
+    for c in range(len(cells)):
+        # the cell's samples C-contiguous, as run_game's are, so that the
+        # mean sums them in the same order
+        m = np.ascontiguousarray(window[:, :, c]).mean(axis=0)
+        errors.append(min(math.hypot(m[0] - g.p1, m[1] - g.q1) for g in targets))
     return np.array([[c.p_max for c in cfgs], [c.theta for c in cfgs], errors], np.float64)
 
 
@@ -196,25 +182,22 @@ def basin_split(
 
 # ----------------------------------------------------------------------
 # Engine internals.  The C kernel (kernel.py), compiled on first use,
-# carries its own port of numpy's SeedSequence and PCG64: _simulate seeds
-# every run with its seed_runs and drives them through its advance() one
-# (records, 2, runs) block at a time; _blocks cuts the record steps into
-# those calls.  Every constant advance reads, theta included, is in one
-# (5, 4) table that _table builds (its layout, and why the P-model reward is
-# a table read, are at advance).  advance only indexes it and applies
-# p <- p + f*(t - p), the same IEEE-754 operations as the tests'
-# one-draw-at-a-time reference loop on numpy's own generator.  error_table
-# seeds one stream and calls advance_cells, which steps every cell, each on
-# its own _table, in lockstep on that stream with advance's operations: the
-# cells share their draws, as they would share a seed in separate runs.
+# carries its own port of numpy's SeedSequence and PCG64.  _run_blocks seeds
+# the streams with its seed_runs and steps the lanes one (records, 2, width)
+# block at a time, cut by _blocks: _simulate gives each run its own stream
+# and steps the runs through advance on _in_slices; error_table gives its
+# cells one stream and steps them through advance_cells, so they share their
+# draws as they would share a seed in separate runs.  Both step every lane
+# with the kernel's one scalar loop, lockstep, where kernel.py describes the
+# (5, 4) table _table builds and the operations, those of the tests'
+# one-draw-at-a-time reference loop on numpy's own generator.
 # -ffp-contract=off (never -ffast-math) keeps C from fusing a product into
 # the following sum.  _in_slices cuts each block's runs into one contiguous
 # slice per usable core and runs the slices on threads at once, as ctypes
 # releases the GIL; a call touches only its own runs' state and output
-# slots.  Within a slice, advance itself steps groups of eight runs in the
-# lanes of AVX-512 vectors where the CPU has avx512f and avx512dq, and the
-# rest on its one-run loop, with the same bytes either way (kernel.py), so
-# nothing here chooses between them.
+# slots.  Within a slice, advance steps groups of eight runs in AVX-512
+# lanes where the CPU has them, with lockstep's bytes, so nothing here
+# chooses between the two.
 # Seeding, the ensemble mean and error tables stay on one thread.
 # ----------------------------------------------------------------------
 
@@ -223,17 +206,6 @@ def _record_steps(c: SimConfig) -> np.ndarray:
     """Step 0, every record_stride steps, and the final step."""
     t = np.arange(c.steps // c.record_stride + 1, dtype=np.int64) * c.record_stride
     return t if c.steps % c.record_stride == 0 else np.append(t, np.int64(c.steps))
-
-
-def _late(records: int) -> int:
-    """The samples steady_state_error averages: the last 10%, at least one."""
-    return max(1, math.ceil(0.1 * records))
-
-
-def _nearest(late: np.ndarray, targets: Sequence[JointState]) -> float:
-    """Distance from the mean of the (k, 2) samples late to the nearest of targets."""
-    m = late.mean(axis=0)
-    return min(math.hypot(m[0] - g.p1, m[1] - g.q1) for g in targets)
 
 
 def _table(c: SimConfig) -> np.ndarray:
@@ -257,20 +229,27 @@ def _blocks(t: np.ndarray, width: int):
         yield (int(t[i - 1]) if i else 0), t[i : i + k]
 
 
+def _run_blocks(c: SimConfig, streams: int, width: int, step, tabs: np.ndarray):
+    """Step width lanes from c.x0 through _record_steps(c) on streams
+    generators seeded from c.seed by seed_runs: call step(width, st, pq,
+    start, rec, k, ptype, tabs, block) once per _blocks call and yield its
+    records and its (records, 2, width) block."""
+    pq = np.empty((2, width))  # before any per-lane work, so an impossible width fails at once
+    pq[0], pq[1] = c.x0.p1, c.x0.q1
+    st = np.empty((streams, 4), dtype=np.uint64)
+    _load_kernel().seed_runs(streams, c.seed, st)
+    for start, rec in _blocks(_record_steps(c), width):
+        block = np.empty((len(rec), 2, width))
+        step(width, st, pq, start, rec, len(rec), c.spec.model is Model.P, tabs, block)
+        yield rec, block
+
+
 def _simulate(c: SimConfig, runs: int):
     """Yield the states of all runs of c at _record_steps(c), one block of
     shape (records, 2, runs) at a time.  Run k uses seed c.seed XOR k."""
     _check_count("runs", runs, 1)
-    tab = _table(c)
-    pq = np.empty((2, runs))  # before any per-run work, so an impossible runs fails at once
-    pq[0], pq[1] = c.x0.p1, c.x0.q1
-    kernel = _load_kernel()
-    st = np.empty((runs, 4), dtype=np.uint64)
-    kernel.seed_runs(runs, c.seed, st)
-    for start, rec in _blocks(_record_steps(c), runs):
-        block = np.empty((len(rec), 2, runs))
-        _in_slices(kernel.advance, runs, st, pq, start, rec, len(rec), c.spec.model is Model.P,
-                   tab, block)
+    advance = functools.partial(_in_slices, _load_kernel().advance)
+    for _, block in _run_blocks(c, runs, runs, advance, _table(c)):
         yield block
 
 

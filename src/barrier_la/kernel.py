@@ -3,23 +3,25 @@ the CSV row formatter.
 
 ``harness`` drives ``seed_runs``, ``advance`` and ``advance_cells``,
 ``dynamics`` drives ``rk4`` and ``cli`` writes every CSV through
-``format_rows``.  ``advance`` steps runs that each own a stream;
-``advance_cells`` steps an error table's cells, which share one stream, in
-lockstep on it, so each step's draws are made once for all of them.  The
-library is built from ``_KERNEL_C`` by the system's C compiler on first use
-(gcc or clang: the generator and the formatter need ``unsigned __int128``)
-and cached; without one, _load_kernel raises OSError, so every command
-that simulates or writes CSV needs the compiler.
+``format_rows``.  One scalar loop, ``lockstep``, steps lanes in lockstep on
+one stream, each lane on its own table; its comment gives the table layout
+and the same-bytes contract.  ``advance`` steps runs that each own a stream
+through it one run at a time, and ``advance_cells`` steps an error table's
+cells, which share one stream, through it together, so each step's draws
+are made once for all of them.  The library is built from ``_KERNEL_C`` by
+the system's C compiler on first use (gcc or clang: the generator and the
+formatter need ``unsigned __int128``) and cached; without one, _load_kernel
+raises OSError, so every command that simulates or writes CSV needs the
+compiler.
 
 On x86-64 ``advance`` steps eight runs at once, one per 64-bit lane of an
 AVX-512 vector, when the CPU has avx512f and avx512dq.  It asks the CPU at
 run time, on every call; the vector functions are compiled for those
 extensions by a function attribute, so the compile command and the cache
-key do not change.  Each lane repeats the one-run loop's integer and
-IEEE-754 operations in their order, so a run gives the same bytes whichever
-loop steps it.  The one-run loop steps the rest of a slice (fewer than
+key do not change.  ``lockstep`` steps the rest of a slice (fewer than
 eight runs), every slice on a CPU without those extensions, and every run
-on other architectures.  There is no option to choose between them.
+on other architectures, with the same bytes.  There is no option to choose
+between them.
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ from pathlib import Path
 
 import numpy as np
 
-# Values per kernel call: advance writes records x 2 x runs (advance_cells
-# records x 2 x cells), at most max(_BLOCK_BUDGET, 2 * runs) as a block
+# Values per kernel call: advance and advance_cells write records x 2 x
+# width (runs or cells), at most max(_BLOCK_BUDGET, 2 * width) as a block
 # holds one record or more; format_rows reads rows x ncols, at most
-# max(_BLOCK_BUDGET, ncols) likewise;
-# rk4 writes at most _BLOCK_BUDGET.  Block boundaries never affect results:
-# run state, stream and RK4 state carry over.
+# max(_BLOCK_BUDGET, ncols) likewise; rk4 writes at most _BLOCK_BUDGET.
+# Block boundaries never affect results: lane state, stream and RK4 state
+# carry over.
 _BLOCK_BUDGET = 1 << 18
 # The bytes format_rows needs per value: at most 24 of "%.17g" and one of
 # the separator.
@@ -155,11 +157,9 @@ static inline AVX512 __m512d next_double8(pcg8 *g)
                          _mm512_set1_pd(1.0 / 9007199254740992.0));
 }
 
-/* advance's loop for the runs [r0, r0 + 8 * floor((r1 - r0) / 8)), eight
-   runs a group in lockstep: lane i of a group is run r + i, and it takes
-   the scalar loop's steps in the scalar loop's order, comparisons and
-   table reads as masks and lane permutes.  Returns the first run it did
-   not advance. */
+/* lockstep's steps for the runs [r0, r0 + 8 * floor((r1 - r0) / 8)), run
+   r + i in lane i of a group, comparisons and table reads as masks and lane
+   permutes.  Returns the first run it did not advance. */
 static AVX512 int64_t advance8(int64_t runs, uint64_t *st, double *pq, int64_t t,
                                const int64_t *rec, int64_t k, int ptype, const double *tab,
                                double *out, int64_t r0, int64_t r1)
@@ -212,98 +212,69 @@ static AVX512 int64_t advance8(int64_t runs, uint64_t *st, double *pq, int64_t t
 }
 #endif
 
-/* Advance each run r in [r0, r1) from step t through the steps rec[0..k),
-   storing its state after rec[j] steps at out[j][0][r] and out[j][1][r].
-   st holds the runs' generators as seed_runs lays them out, pq the (2, runs)
-   states; tab the (5, 4) table harness._simulate builds: rows feedback A,
-   feedback B, target A and target B, each indexed by the joint action
-   x = 2*(u0 >= p) + (u1 >= q), then (0, theta_a, 0, theta_b).  A call reads
-   and writes only the slots of its own runs, so calls on disjoint ranges
-   may run at the same time.  Where the CPU has avx512f and avx512dq,
-   advance8 first steps whole groups of eight runs, and the loop below
-   steps the rest. */
+/* The one scalar step loop: n lanes in lockstep on the PCG64 stream at g.
+   Lane c steps p[c], q[c] on the (5, 4) table at tabs + ts*c, harness._table's
+   rows feedback A, feedback B, target A and target B at the joint action
+   x = 2*(u0 >= p) + (u1 >= q), and (0, theta_a, 0, theta_b) for the P-model
+   reward, read at u < entry: no branch to mispredict.  Its state after rec[j]
+   steps goes to out[2j*ow + c], out[(2j+1)*ow + c].  Each step draws u0, u1
+   (u2, u3 under P) once and gives every lane the same operations in the same
+   order, so a lane's bytes are those it gets alone, and advance8's lanes'. */
+static inline __attribute__((always_inline)) void
+lockstep(int64_t n, uint64_t *g, double *p, double *q, int64_t t, const int64_t *rec,
+         int64_t k, int ptype, const double *tabs, int64_t ts, double *out, int64_t ow)
+{
+    u128 s = (u128)g[1] << 64 | g[0], inc = (u128)g[3] << 64 | g[2];
+    for (int64_t j = 0; j < k; j++) {
+        for (; t < rec[j]; t++) {
+            double u0 = next_double(&s, inc), u1 = next_double(&s, inc);
+            double u2 = ptype ? next_double(&s, inc) : 0.0, u3 = ptype ? next_double(&s, inc) : 0.0;
+            for (int64_t c = 0; c < n; c++) {
+                const double *fa = tabs + ts * c, *fb = fa + 4, *ta = fa + 8, *tb = fa + 12;
+                const double *ga = fa + 16, *gb = fa + 18;
+                int x = (u0 >= p[c] ? 2 : 0) + (u1 >= q[c]);
+                double f = fa[x], h = fb[x];
+                if (ptype) {
+                    f = ga[u2 < f];
+                    h = gb[u3 < h];
+                }
+                p[c] = p[c] + f * (ta[x] - p[c]);
+                q[c] = q[c] + h * (tb[x] - q[c]);
+            }
+        }
+        for (int64_t c = 0; c < n; c++) {
+            out[2 * j * ow + c] = p[c];
+            out[(2 * j + 1) * ow + c] = q[c];
+        }
+    }
+    g[0] = (uint64_t)s;
+    g[1] = (uint64_t)(s >> 64);
+}
+
+/* Step the runs [r0, r1) on their own streams in st, all on tab; calls on
+   disjoint ranges may run at once.  advance8 takes groups of eight where the
+   CPU has avx512f and avx512dq, lockstep the rest with p, q in locals. */
 void advance(int64_t runs, uint64_t *st, double *pq, int64_t t, const int64_t *rec,
              int64_t k, int ptype, const double *tab, double *out, int64_t r0, int64_t r1)
 {
-    const double *fa = tab, *fb = tab + 4, *ta = tab + 8, *tb = tab + 12;
-    /* The P-model reward, 0 or theta, is read from {0, theta} at index
-       u < entry.  A ternary compiles to a jump, and near a mixed
-       equilibrium, where the draw is a coin flip, that jump mispredicts on
-       most steps; the table read has no branch. */
-    const double *ga = tab + 16, *gb = tab + 18;
 #if defined(__x86_64__)
     __builtin_cpu_init();
     if (r1 - r0 >= 8 && __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq"))
         r0 = advance8(runs, st, pq, t, rec, k, ptype, tab, out, r0, r1);
 #endif
     for (int64_t r = r0; r < r1; r++) {
-        uint64_t *g = st + 4 * r;
-        u128 s = (u128)g[1] << 64 | g[0], inc = (u128)g[3] << 64 | g[2];
         double p = pq[r], q = pq[runs + r];
-        int64_t n = t;
-        for (int64_t j = 0; j < k; j++) {
-            for (; n < rec[j]; n++) {
-                double u0 = next_double(&s, inc);
-                double u1 = next_double(&s, inc);
-                int x = (u0 >= p ? 2 : 0) + (u1 >= q);
-                double f = fa[x], h = fb[x];
-                if (ptype) {
-                    double u2 = next_double(&s, inc);
-                    double u3 = next_double(&s, inc);
-                    f = ga[u2 < f];
-                    h = gb[u3 < h];
-                }
-                p = p + f * (ta[x] - p);
-                q = q + h * (tb[x] - q);
-            }
-            out[2 * j * runs + r] = p;
-            out[(2 * j + 1) * runs + r] = q;
-        }
-        g[0] = (uint64_t)s;
-        g[1] = (uint64_t)(s >> 64);
+        lockstep(1, st + 4 * r, &p, &q, t, rec, k, ptype, tab, 0, out + r, runs);
         pq[r] = p;
         pq[runs + r] = q;
     }
 }
 
-/* advance's one-run loop, stepping cells runs in lockstep on one shared
-   stream: st holds one generator as seed_runs(1, seed) lays it out, pq the
-   (2, cells) states, tabs one (5, 4) table per cell (cell c's at
-   tabs + 20c) and out the (records, 2, cells) block.  Each step draws u0,
-   u1 (and u2, u3 under P) once, then updates every cell with advance's
-   operations in their order, so cell c gets the bytes that advance gives
-   one run on that stream with the cell's table. */
+/* Step an error table's cells, one table each, on the one stream in st. */
 void advance_cells(int64_t cells, uint64_t *st, double *pq, int64_t t, const int64_t *rec,
                    int64_t k, int ptype, const double *tabs, double *out)
 {
-    u128 s = (u128)st[1] << 64 | st[0], inc = (u128)st[3] << 64 | st[2];
-    double *p = pq, *q = pq + cells;
-    int64_t n = t;
-    for (int64_t j = 0; j < k; j++) {
-        for (; n < rec[j]; n++) {
-            double u0 = next_double(&s, inc);
-            double u1 = next_double(&s, inc);
-            double u2 = 0.0, u3 = 0.0;
-            if (ptype) {
-                u2 = next_double(&s, inc);
-                u3 = next_double(&s, inc);
-            }
-            for (int64_t c = 0; c < cells; c++) {
-                const double *tab = tabs + 20 * c;
-                int x = (u0 >= p[c] ? 2 : 0) + (u1 >= q[c]);
-                double f = tab[x], h = tab[4 + x];
-                if (ptype) {
-                    f = tab[16 + (u2 < f)];
-                    h = tab[18 + (u3 < h)];
-                }
-                p[c] = p[c] + f * (tab[8 + x] - p[c]);
-                q[c] = q[c] + h * (tab[12 + x] - q[c]);
-            }
-        }
-        memcpy(out + 2 * j * cells, pq, 2 * cells * sizeof *pq);
-    }
-    st[0] = (uint64_t)s;
-    st[1] = (uint64_t)(s >> 64);
+    lockstep(cells, st, pq, pq + cells, t, rec, k, ptype, tabs, 20, out, cells);
 }
 
 /* The drift W(p, q) into w[0], w[1], with the operations of

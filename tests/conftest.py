@@ -97,6 +97,16 @@ def lri_step(p1: float, chosen: int, feedback: float, cfg) -> float:
     return p1 + cfg.theta * feedback * (target - p1)
 
 
+def steady_state_error(traj, target) -> float:
+    """Euclidean distance between the late-time mean state and the target.
+
+    The mean is taken over the last 10% of the recorded samples (at least
+    one sample).
+    """
+    m = traj.x[-max(1, math.ceil(0.1 * len(traj))) :].mean(axis=0)
+    return math.hypot(m[0] - target.p1, m[1] - target.q1)
+
+
 def reference_loop(c) -> list[tuple[int, float, float]]:
     """A run of SimConfig c written one rng.random() call at a time: the
     action draw of A, then of B, then (P model) the reward draw of A, then

@@ -26,13 +26,12 @@ from barrier_la import (
     pure_equilibria,
     run_ensemble,
     run_game,
-    steady_state_error,
     terminal_states,
 )
 from barrier_la import harness, kernel
 from barrier_la.harness import _load_kernel, _simulate
 
-from conftest import game_of, reference_loop, sim_config
+from conftest import game_of, reference_loop, sim_config, steady_state_error
 
 
 @st.composite
@@ -215,7 +214,7 @@ class TestRunEnsemble:
         past multiples of eight, cut into 1, 2 or 3 slices, with blocks of
         40 records or fewer (so every run stops mid-way at least once), lane
         k of _simulate is run_game at seed XOR k, which runs alone and so on
-        the one-run loop, bit for bit."""
+        lockstep, bit for bit."""
         spec = game_of((1.0, 0.0, 0.25, 1.0), (0.0, 1.0, 0.6, 0.0), model)
         cfg_a, cfg_b = LearnerConfig(theta=0.05, p_max=1.0), LearnerConfig(theta=0.2, p_max=0.95)
         c = SimConfig(spec, cfg_a, cfg_b, JointState(0.5, 0.3), 300, 0x9E3779B97F4A7C15, 7)
@@ -467,6 +466,38 @@ class TestErrorTable:
             run = run_game(SimConfig(spec, cfg, cfg, x0, steps, seed, stride))
             assert error == min(steady_state_error(run, t) for t in targets)
 
+    @pytest.mark.parametrize("model", [Model.P, Model.S])
+    @pytest.mark.parametrize("cells", [1, 2, 3])
+    def test_advance_cells_steps_each_cell_as_a_one_run_advance(self, model, cells):
+        """Kernel level: each cell's full (records, 2) path from
+        advance_cells, and the stream state it leaves, equal bit for bit a
+        one-run advance on that cell's table from the same seed.  The cells
+        differ in theta, p_max (1 among them) and so in their tables, and
+        every call of either stops mid-run."""
+        real = _load_kernel()
+        spec = game_of((1.0, 0.0, 0.25, 1.0), (0.0, 1.0, 0.6, 0.0), model)
+        cfgs = [LearnerConfig(0.05, 1.0), LearnerConfig(0.2, 0.95), LearnerConfig(0.01, 0.9)]
+        runs = [SimConfig(spec, cfg, cfg, JointState(0.5, 0.3), 300, 0x9E3779B97F4A7C15, 7)
+                for cfg in cfgs[:cells]]
+
+        def path(step, width, tabs):
+            streams = []
+
+            def spy(*args):
+                streams.append(args[1])
+                step(*args)
+
+            with mock.patch.object(harness, "_BLOCK_BUDGET", 2 * cells * 5):
+                blocks = [b for _, b in harness._run_blocks(runs[0], 1, width, spy, tabs)]
+            assert len(blocks) > 1
+            return np.concatenate(blocks), streams[-1].tobytes()
+
+        x, stream = path(real.advance_cells, cells, np.stack([harness._table(c) for c in runs]))
+        for c, run in enumerate(runs):
+            one, one_stream = path(lambda *a: real.advance(*a, 0, 1), 1, harness._table(run))
+            assert np.ascontiguousarray(x[:, :, c]).tobytes() == one[:, :, 0].tobytes()
+            assert stream == one_stream
+
     def test_default_target_of_a_mixed_only_game_is_its_mixed_equilibrium(self, case1):
         args = ([0.99, 0.95], [0.05], 2000, 9)
         mixed = JointState(*mixed_equilibrium(case1))
@@ -601,12 +632,21 @@ class TestKernelCache:
         assert len(list((home / ".cache" / "barrier_la").glob("kernel-*.so"))) == 1
         assert list(work.iterdir()) == []
 
-    def test_kernel_source_compiles_without_warnings(self):
+    @staticmethod
+    def lint(source):
         # the loader compiles without warning flags; lint the same source
         # with its own command
         cmd = [*kernel._CC, "-Wall", "-Wextra", "-Werror", "-x", "c", "-", "-o", os.devnull]
-        proc = subprocess.run(cmd, input=kernel._KERNEL_C, text=True, capture_output=True)
+        proc = subprocess.run(cmd, input=source, text=True, capture_output=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_kernel_source_compiles_without_warnings(self):
+        self.lint(kernel._KERNEL_C)
+
+    def test_portable_kernel_source_compiles_without_warnings(self):
+        """The source other architectures compile: no AVX-512 lanes, every
+        run stepped by lockstep."""
+        self.lint(kernel._KERNEL_C.replace("defined(__x86_64__)", "0"))
 
     def test_without_a_compiler_loading_raises_naming_the_command(self, no_compiler):
         with pytest.raises(OSError) as exc:  # and no warning: warnings fail the suite
