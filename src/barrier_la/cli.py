@@ -28,7 +28,7 @@ import numpy as np
 from . import dynamics, game, harness
 from .dynamics import StepTooLarge
 from .game import GameSpec, JointState, Model
-from .kernel import _BLOCK_BUDGET, _CSV_VALUE_BYTES, _load_kernel
+from .kernel import _CSV_VALUE_BYTES, _chunks, _load_kernel
 from .learner import LearnerConfig, _check_p_max
 
 
@@ -150,13 +150,12 @@ def _write_csv(path: str, header: str, *columns: np.ndarray) -> None:
     format_rows one float64 (columns, rows) chunk per call.  A call that
     fails is a fault in this program and raises RuntimeError."""
     format_rows = _load_kernel().format_rows  # before open: without it, no file
-    step = max(_BLOCK_BUDGET // len(columns), 1)  # rows per chunk
-    buf = np.empty(min(len(columns[0]), step) * len(columns) * _CSV_VALUE_BYTES, np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"{header}\n".encode())
-        for i in range(0, len(columns[0]), step):
-            block = np.stack([c[i : i + step] for c in columns], dtype=np.float64)
-            size = format_rows(block.shape[1], len(columns), block, buf, buf.size)
+        for i, j in _chunks(len(columns[0]), len(columns)):
+            block = np.stack([c[i:j] for c in columns], dtype=np.float64)
+            buf = np.empty(block.size * _CSV_VALUE_BYTES, np.uint8)
+            size = format_rows(j - i, len(columns), block, buf, buf.size)
             if size < 0:
                 raise RuntimeError(f"format_rows failed on {block.size} values in {buf.size} bytes")
             fh.write(buf[:size])

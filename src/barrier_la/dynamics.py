@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .game import DegenerateGame, GameSpec, JointState
-from .kernel import _BLOCK_BUDGET, _load_kernel
+from .kernel import _chunks, _load_kernel
 from .learner import _check_p_max
 
 DRIFT_STOP_TOL = 1e-10
@@ -177,22 +177,21 @@ def integrate(
     rk4 = _load_kernel().rk4
     n_steps = int(math.floor(t_max / step + 1e-9))
     rows = [np.array([[float(x0.p1), float(x0.q1)]])]
-    done, accepted = 0, np.empty(1, np.int64)
-    while True:  # one block of at most _BLOCK_BUDGET values per call
-        block = np.empty((min(n_steps - done, _BLOCK_BUDGET // 2 - 1) + 1, 2))
+    accepted = np.empty(1, np.int64)
+    for i, j in _chunks(n_steps, 2):  # steps i + 1 to j, from the last row
+        block = np.empty((j - i + 1, 2))
         block[0] = rows[-1][-1]
-        stop = rk4(tab, len(block) - 1, block, accepted)
+        stop = rk4(tab, j - i, block, accepted)
         k = int(accepted[0])
         rows.append(block[1 : k + 1])
-        done += k
         if stop == _RK4_STAGE_LEFT_BOX:
             lo, hi = STAGE_BOX
             p, q = block[k + 1].tolist()
             raise StepTooLarge(f"RK stage ({p}, {q}) left the box [{lo}, {hi}]^2")
         if stop == _RK4_STATE_LEFT_SQUARE:
             p, q = block[k + 1].tolist()
-            raise StepTooLarge(f"RK4 state ({p}, {q}) at t = {(done + 1) * step} left [0, 1]^2")
-        if stop == _RK4_DRIFT_BELOW_TOL or done == n_steps:
+            raise StepTooLarge(f"RK4 state ({p}, {q}) at t = {(i + k + 1) * step} left [0, 1]^2")
+        if stop == _RK4_DRIFT_BELOW_TOL:
             break
     x = np.concatenate(rows)
     return Trajectory(np.arange(len(x)) * step, x)

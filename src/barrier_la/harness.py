@@ -23,7 +23,7 @@ import math
 import operator
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,7 +32,7 @@ from .dynamics import FixedPoint, Stability, Trajectory, fixed_points
 from .game import (
     CaseKind, GameSpec, JointState, Model, classify, mixed_equilibrium, pure_equilibria,
 )
-from .kernel import _BLOCK_BUDGET, _load_kernel
+from .kernel import _chunks, _load_kernel
 from .learner import LearnerConfig
 
 
@@ -89,8 +89,9 @@ def run_game(c: SimConfig) -> Trajectory:
     The state is recorded at step 0, every record_stride steps, and at the
     final step.  Bit-reproducible for a given SimConfig.
     """
-    states = np.concatenate([block[:, :, 0] for block in _simulate(c, 1)])
-    return Trajectory(_record_steps(c), states)
+    t = _record_steps(c)
+    states = np.concatenate([block[:, :, 0] for block in _simulate(c, t, 1)])
+    return Trajectory(t, states)
 
 
 def run_ensemble(c: SimConfig, runs: int) -> Trajectory:
@@ -100,16 +101,16 @@ def run_ensemble(c: SimConfig, runs: int) -> Trajectory:
     fixed order so the result does not depend on how runs are scheduled.
     With runs=1 the output equals run_game(c) exactly.
     """
-    mean = np.concatenate([block.mean(axis=-1) for block in _simulate(c, runs)])
-    return Trajectory(_record_steps(c), mean)
+    t = _record_steps(c)
+    mean = np.concatenate([block.mean(axis=-1) for block in _simulate(c, t, runs)])
+    return Trajectory(t, mean)
 
 
 def terminal_states(c: SimConfig, runs: int) -> np.ndarray:
-    """Final (p1, q1) of each replica, shape (runs, 2).  Records only step 0
-    and the final step, so c.record_stride does not affect the result."""
-    for block in _simulate(replace(c, record_stride=max(1, c.steps)), runs):
-        pass
-    return block[-1].T.copy()
+    """Final (p1, q1) of each replica, shape (runs, 2).  Records only the
+    final step, so c.record_stride does not affect the result."""
+    (block,) = _simulate(c, np.array([c.steps], np.int64), runs)
+    return block[0].T.copy()
 
 
 def error_table(
@@ -131,7 +132,7 @@ def error_table(
     equilibria, or its mixed equilibrium when it has none.  A run that
     absorbs at a pure corner therefore reports 0.0.  Every cell's config is
     checked before the pass starts, so an invalid cell raises at once.
-    Only the records of the late-time window are kept.
+    Only the records of the late-time window are made.
     """
     if not p_max_values or not theta_values:
         raise ValueError("p_max_values and theta_values must be non-empty")
@@ -143,10 +144,9 @@ def error_table(
     cells = [SimConfig(spec, cfg, cfg, x0, steps, seed, record_stride) for cfg in cfgs]
     tabs = np.stack([_table(c) for c in cells])
     t = _record_steps(cells[0])
-    late = max(1, math.ceil(0.1 * len(t)))
-    blocks = _run_blocks(cells[0], 1, len(cells), _load_kernel().advance_cells, tabs)
-    # keep the blocks that reach the late window
-    window = np.concatenate([b for rec, b in blocks if rec[-1] >= t[-late]])[-late:]
+    late = t[-max(1, math.ceil(0.1 * len(t))) :]
+    step = _load_kernel().advance_cells
+    window = np.concatenate([*_run_blocks(cells[0], late, 1, len(cells), step, tabs)])
     errors = []
     for c in range(len(cells)):
         # the cell's samples C-contiguous, as run_game's are, so that the
@@ -184,13 +184,14 @@ def basin_split(
 # Engine internals.  The C kernel (kernel.py), compiled on first use,
 # carries its own port of numpy's SeedSequence and PCG64.  _run_blocks seeds
 # the streams with its seed_runs and steps the lanes one (records, 2, width)
-# block at a time, cut by _blocks: _simulate gives each run its own stream
-# and steps the runs through advance on _in_slices; error_table gives its
-# cells one stream and steps them through advance_cells, so they share their
-# draws as they would share a seed in separate runs.  Both step every lane
-# with the kernel's one scalar loop, lockstep, where kernel.py describes the
-# (5, 4) table _table builds and the operations, those of the tests'
-# one-draw-at-a-time reference loop on numpy's own generator.
+# block at a time, cut by kernel._chunks, recording only the steps its
+# caller reads: _simulate gives each run its own stream and steps the runs
+# through advance on _in_slices; error_table gives its cells one stream and
+# steps them through advance_cells, so they share their draws as they would
+# share a seed in separate runs.  Both step every lane with the kernel's one
+# scalar loop, lockstep, where kernel.py describes the (5, 4) table _table
+# builds and the operations, those of the tests' one-draw-at-a-time
+# reference loop on numpy's own generator.
 # -ffp-contract=off (never -ffast-math) keeps C from fusing a product into
 # the following sum.  _in_slices cuts each block's runs into one contiguous
 # slice per usable core and runs the slices on threads at once, as ctypes
@@ -220,37 +221,28 @@ def _table(c: SimConfig) -> np.ndarray:
                     np.float64)
 
 
-def _blocks(t: np.ndarray, width: int):
-    """Cut the record steps t into kernel calls of at most _BLOCK_BUDGET
-    values, width per record and at least one record a call: yield each
-    call's start step and its records."""
-    k = max(1, _BLOCK_BUDGET // (2 * width))
-    for i in range(0, len(t), k):
-        yield (int(t[i - 1]) if i else 0), t[i : i + k]
-
-
-def _run_blocks(c: SimConfig, streams: int, width: int, step, tabs: np.ndarray):
-    """Step width lanes from c.x0 through _record_steps(c) on streams
-    generators seeded from c.seed by seed_runs: call step(width, st, pq,
-    start, rec, k, ptype, tabs, block) once per _blocks call and yield its
-    records and its (records, 2, width) block."""
+def _run_blocks(c: SimConfig, t: np.ndarray, streams: int, width: int, step, tabs: np.ndarray):
+    """Step width lanes from c.x0 on streams generators seeded from c.seed by
+    seed_runs, recording them only at the steps t (increasing int64): call
+    step(width, st, pq, start, rec, k, ptype, tabs, block) once per _chunks
+    range of records and yield each (records, 2, width) block."""
     pq = np.empty((2, width))  # before any per-lane work, so an impossible width fails at once
     pq[0], pq[1] = c.x0.p1, c.x0.q1
     st = np.empty((streams, 4), dtype=np.uint64)
     _load_kernel().seed_runs(streams, c.seed, st)
-    for start, rec in _blocks(_record_steps(c), width):
-        block = np.empty((len(rec), 2, width))
-        step(width, st, pq, start, rec, len(rec), c.spec.model is Model.P, tabs, block)
-        yield rec, block
+    for i, j in _chunks(len(t), 2 * width):
+        block = np.empty((j - i, 2, width))
+        start = int(t[i - 1]) if i else 0
+        step(width, st, pq, start, t[i:j], j - i, c.spec.model is Model.P, tabs, block)
+        yield block
 
 
-def _simulate(c: SimConfig, runs: int):
-    """Yield the states of all runs of c at _record_steps(c), one block of
+def _simulate(c: SimConfig, t: np.ndarray, runs: int):
+    """Yield the states of all runs of c at the record steps t, one block of
     shape (records, 2, runs) at a time.  Run k uses seed c.seed XOR k."""
     _check_count("runs", runs, 1)
     advance = functools.partial(_in_slices, _load_kernel().advance)
-    for _, block in _run_blocks(c, runs, runs, advance, _table(c)):
-        yield block
+    yield from _run_blocks(c, t, runs, runs, advance, _table(c))
 
 
 def _usable_cores() -> int:

@@ -34,16 +34,24 @@ from pathlib import Path
 
 import numpy as np
 
-# Values per kernel call: advance and advance_cells write records x 2 x
-# width (runs or cells), at most max(_BLOCK_BUDGET, 2 * width) as a block
-# holds one record or more; format_rows reads rows x ncols, at most
-# max(_BLOCK_BUDGET, ncols) likewise; rk4 writes at most _BLOCK_BUDGET.
-# Block boundaries never affect results: lane state, stream and RK4 state
-# carry over.
+# Values per kernel call, read only by _chunks: a call takes items (records,
+# RK4 steps or CSV rows) of width values each, at most
+# max(1, _BLOCK_BUDGET // width) of them, so at most max(_BLOCK_BUDGET,
+# width) values, and rk4 its start row besides.  Block boundaries never
+# affect results: lane state, stream and RK4 state carry over.
 _BLOCK_BUDGET = 1 << 18
 # The bytes format_rows needs per value: at most 24 of "%.17g" and one of
 # the separator.
 _CSV_VALUE_BYTES = 25
+
+
+def _chunks(n: int, width: int):
+    """Cut n items of width values each into kernel calls: yield the ranges
+    [i, j) of [0, n) in order, of max(1, _BLOCK_BUDGET // width) items but the last."""
+    k = max(1, _BLOCK_BUDGET // width)
+    for i in range(0, n, k):
+        yield i, min(i + k, n)
+
 
 _KERNEL_C = r"""
 #include <math.h>

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barrier_la import (
-    JointState, cli, dynamics, error_table, harness, integrate, mixed_equilibrium, run_game,
+    JointState, cli, dynamics, error_table, harness, integrate, kernel, mixed_equilibrium,
+    run_game,
     vector_field,
 )
 from barrier_la.cli import _build_parser, main
@@ -558,7 +559,7 @@ class TestCsvOutput:
         got_x = np.array([[float(r[1]), float(r[2])] for r in rows[1:]])
         assert got_t == traj.t.tolist()
         assert np.array_equal(got_x, traj.x)  # 17 digits round-trip exactly
-        monkeypatch.setattr(cli, "_BLOCK_BUDGET", 9)  # 3 rows of 3 columns; 4 rows: 3 + 1
+        monkeypatch.setattr(kernel, "_BLOCK_BUDGET", 9)  # 3 rows of 3 columns; 4 rows: 3 + 1
         assert run_cli(capsys, *argv, "--out", str(tmp_path / "chunked.csv"))[0] == 0
         assert (tmp_path / "chunked.csv").read_bytes() == path.read_bytes()
 
@@ -572,7 +573,7 @@ class TestCsvOutput:
         traj = integrate(case1, JointState(0.9, 0.1), 0.99, step=0.1, t_max=1.0)
         got = np.array(rows[1:], dtype=np.float64)
         assert np.array_equal(got, np.column_stack([traj.t, traj.x]))  # floats round-trip
-        monkeypatch.setattr(cli, "_BLOCK_BUDGET", 9)  # 3 rows of 3 columns; 11 rows: 3+3+3+2
+        monkeypatch.setattr(kernel, "_BLOCK_BUDGET", 9)  # 3 rows of 3 columns; 11 rows: 3+3+3+2
         assert run_cli(capsys, *argv, "--out", str(tmp_path / "chunked.csv"))[0] == 0
         assert (tmp_path / "chunked.csv").read_bytes() == path.read_bytes()
 
@@ -604,8 +605,8 @@ class TestCsvOutput:
                 calls.append(n * ncols)
                 return _load_kernel().format_rows(n, ncols, *args)
 
-        kernel = SpyKernel()
-        monkeypatch.setattr(cli, "_load_kernel", lambda: kernel)
+        spy = SpyKernel()
+        monkeypatch.setattr(cli, "_load_kernel", lambda: spy)
         rng = np.random.default_rng(3)
         for ncols in (3, 4):
             table = rng.standard_normal((7, ncols)) * 10.0 ** rng.integers(-9, 20, (7, ncols))
@@ -618,7 +619,7 @@ class TestCsvOutput:
             # columns, 12 values: 3 rows of 4); a budget below one row
             for budget, chunks in ((1 << 18, [7]), (3 * ncols, [3, 3, 1]), (2, [1] * 7)):
                 calls.clear()
-                monkeypatch.setattr(cli, "_BLOCK_BUDGET", budget)
+                monkeypatch.setattr(kernel, "_BLOCK_BUDGET", budget)
                 cli._write_csv(str(tmp_path / "x.csv"), header, *columns)
                 assert (tmp_path / "x.csv").read_bytes() == want
                 assert calls == [rows * ncols for rows in chunks]

@@ -21,7 +21,7 @@ from barrier_la import (
     vector_field,
 )
 
-from barrier_la import dynamics
+from barrier_la import kernel
 from barrier_la.dynamics import STAGE_BOX, _drives, _stability
 from conftest import (
     bisect_root,
@@ -267,7 +267,8 @@ class TestIntegrate:
              15.821770123928726, 316.43540247857453),  # step 12 leaves [0, 1]^2
         ],
     )
-    @pytest.mark.parametrize("budget", [4, 8, 2 * 1001])
+    # 1, 2, 3, 4, 1000 or 1001 steps per call
+    @pytest.mark.parametrize("budget", [3, 4, 6, 8, 2 * 1000, 2 * 1001])
     def test_block_boundaries_do_not_change_the_path(
         self, monkeypatch, request, preset_name, x0, step, t_max, budget
     ):
@@ -281,7 +282,7 @@ class TestIntegrate:
             return traj.t.tobytes(), traj.x.tobytes()
 
         want = path()
-        monkeypatch.setattr(dynamics, "_BLOCK_BUDGET", budget)  # 1, 3 or 1000 steps per call
+        monkeypatch.setattr(kernel, "_BLOCK_BUDGET", budget)
         assert path() == want
 
     def test_times_strictly_increase_and_states_stay_in_box(self, case2):

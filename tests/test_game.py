@@ -21,7 +21,7 @@ from barrier_la import (
     run_game,
     terminal_states,
 )
-from barrier_la import harness
+from barrier_la import kernel
 from barrier_la.game import from_dict, load_game
 
 from conftest import (
@@ -199,13 +199,13 @@ class TestSampleFeedback:
         # the draws are one continuous stream per seed, whatever the blocking
         c = sim_config(case1, steps=500, seed=97, stride=1)
         want = run_game(c).x
-        monkeypatch.setattr(harness, "_BLOCK_BUDGET", 2)  # one record per kernel call
+        monkeypatch.setattr(kernel, "_BLOCK_BUDGET", 2)  # one record per kernel call
         assert run_game(c).x.tolist() == want.tolist()
 
     def test_block_boundaries_never_change_an_ensemble(self, case1, monkeypatch):
         c = sim_config(case1, steps=500, seed=97, stride=7)
         want = run_ensemble(c, 40).x, terminal_states(c, 40)
-        monkeypatch.setattr(harness, "_BLOCK_BUDGET", 2 * 40 * 5)  # 5 of the 73 records per call
+        monkeypatch.setattr(kernel, "_BLOCK_BUDGET", 2 * 40 * 5)  # 5 of the 73 records per call
         assert np.array_equal(run_ensemble(c, 40).x, want[0])
         assert np.array_equal(terminal_states(c, 40), want[1])
 

@@ -21,6 +21,7 @@ from barrier_la import (
     Trajectory,
     basin_split,
     error_table,
+    integrate,
     mixed_equilibrium,
     preset,
     pure_equilibria,
@@ -28,8 +29,8 @@ from barrier_la import (
     run_game,
     terminal_states,
 )
-from barrier_la import harness, kernel
-from barrier_la.harness import _load_kernel, _simulate
+from barrier_la import cli, dynamics, harness, kernel
+from barrier_la.harness import _load_kernel, _record_steps, _simulate
 
 from conftest import game_of, reference_loop, sim_config, steady_state_error
 
@@ -195,8 +196,8 @@ class TestRunEnsemble:
         c = data.draw(sim_configs(model))
         by_cores = {}
         for cores in (1, 2, 3, 7):
-            with usable_cores(cores), mock.patch.object(harness, "_BLOCK_BUDGET", budget):
-                by_cores[cores] = list(_simulate(c, runs))
+            with usable_cores(cores), mock.patch.object(kernel, "_BLOCK_BUDGET", budget):
+                by_cores[cores] = list(_simulate(c, _record_steps(c), runs))
         blocks = by_cores[1]
         assert all(len(b) <= max(1, budget // (2 * runs)) for b in blocks)
         for other in by_cores.values():
@@ -221,8 +222,8 @@ class TestRunEnsemble:
         lanes = [run_game(dataclasses.replace(c, seed=c.seed ^ k)).x for k in range(runs)]
         want = np.stack(lanes, axis=-1)
         for cores in (1, 2, 3):
-            with usable_cores(cores), mock.patch.object(harness, "_BLOCK_BUDGET", 80):
-                blocks = list(_simulate(c, runs))
+            with usable_cores(cores), mock.patch.object(kernel, "_BLOCK_BUDGET", 80):
+                blocks = list(_simulate(c, _record_steps(c), runs))
             assert len(blocks) > 1
             assert np.concatenate(blocks).tobytes() == want.tobytes()
 
@@ -246,22 +247,22 @@ class TestRunEnsemble:
         assert math.hypot(m1[0] - 0.6667, m1[1] - 0.3333) < 0.05
 
     def test_terminal_states_record_only_the_final_step(self, case1, monkeypatch):
-        """terminal_states simulates at record_stride = steps, whatever the
-        config's stride, so strides 1, 7 and steps give the same bytes, also
-        with step 0 and the final step in separate kernel calls."""
+        """terminal_states records only step c.steps, whatever the config's
+        stride, so strides 1, 7 and steps give the same bytes, also at a
+        budget below one record a kernel call."""
         seen = []
 
-        def spy(c, runs):
-            seen.append(c.record_stride)
-            return _simulate(c, runs)
+        def spy(c, t, runs):
+            seen.append(t.tolist())
+            return _simulate(c, t, runs)
 
         monkeypatch.setattr(harness, "_simulate", spy)
         got = [terminal_states(sim_config(case1, steps=500, stride=s), 9).tobytes()
                for s in (1, 7, 500)]
-        monkeypatch.setattr(harness, "_BLOCK_BUDGET", 2)  # one record per kernel call
+        monkeypatch.setattr(kernel, "_BLOCK_BUDGET", 2)  # one record per kernel call
         got.append(terminal_states(sim_config(case1, steps=500, stride=1), 9).tobytes())
         assert got == [got[0]] * 4
-        assert seen == [500] * 4
+        assert seen == [[500]] * 4
 
     @pytest.mark.parametrize("seed", [
         0, 1, 2**32 - 1, 2**32, 2**64 - 1,
@@ -329,53 +330,55 @@ class TestRunSlices:
 
     @pytest.mark.parametrize("fail_at", [2, 6])
     def test_an_exception_in_a_worker_slice_reaches_the_caller(self, case1, fail_at):
-        kernel = SliceKernel(fail_at)
-        before = threading.active_count()
-        with usable_cores(4), mock.patch.object(harness, "_load_kernel", lambda: kernel):
+        spy = SliceKernel(fail_at)
+        c, before = sim_config(case1, steps=50), threading.active_count()
+        with usable_cores(4), mock.patch.object(harness, "_load_kernel", lambda: spy):
             with pytest.raises(RuntimeError, match=f"slice at run {fail_at}"):
-                list(_simulate(sim_config(case1, steps=50), 8))
+                list(_simulate(c, _record_steps(c), 8))
         assert threading.active_count() == before
 
     def test_workers_are_joined_when_the_callers_slice_raises(self, case1):
-        kernel = SliceKernel(fail_at=0, delay=0.05)
-        before = threading.active_count()
-        with usable_cores(4), mock.patch.object(harness, "_load_kernel", lambda: kernel):
+        spy = SliceKernel(fail_at=0, delay=0.05)
+        c, before = sim_config(case1, steps=50), threading.active_count()
+        with usable_cores(4), mock.patch.object(harness, "_load_kernel", lambda: spy):
             with pytest.raises(RuntimeError, match="slice at run 0"):
-                list(_simulate(sim_config(case1, steps=50), 8))
+                list(_simulate(c, _record_steps(c), 8))
         assert threading.active_count() == before
-        assert sorted(r0 for r0, _ in kernel.done) == [2, 4, 6]  # every worker finished
+        assert sorted(r0 for r0, _ in spy.done) == [2, 4, 6]  # every worker finished
 
     def test_no_worker_outlives_a_block(self, case1):
-        kernel = SliceKernel()
+        spy = SliceKernel()
         before = threading.active_count()
-        with usable_cores(3), mock.patch.object(harness, "_load_kernel", lambda: kernel), \
-                mock.patch.object(harness, "_BLOCK_BUDGET", 6):  # one record per block
-            gen = _simulate(sim_config(case1, steps=500, stride=100), 3)
+        with usable_cores(3), mock.patch.object(harness, "_load_kernel", lambda: spy), \
+                mock.patch.object(kernel, "_BLOCK_BUDGET", 6):  # one record per block
+            c = sim_config(case1, steps=500, stride=100)
+            gen = _simulate(c, _record_steps(c), 3)
             for _ in range(2):
                 next(gen)
                 assert threading.active_count() == before
             gen.close()
         assert threading.active_count() == before
-        assert sorted(r0 for r0, _ in kernel.done) == [0, 0, 1, 1, 2, 2]
+        assert sorted(r0 for r0, _ in spy.done) == [0, 0, 1, 1, 2, 2]
         # done keeps each Thread alive, so unlike an ident none is reused
-        assert len({thread for _, thread in kernel.done}) >= 3  # each block ran on three threads
+        assert len({thread for _, thread in spy.done}) >= 3  # each block ran on three threads
 
     def test_without_sched_getaffinity_slices_by_cpu_count(self, case1, monkeypatch):
         """Where os has no sched_getaffinity (macOS), _simulate slices by
         os.cpu_count(), or runs one slice when that is None, and the
         ensemble is the same bytes."""
         c = sim_config(case1, steps=300, stride=7)
-        want = [b.tobytes() for b in _simulate(c, 9)]
+        t = _record_steps(c)
+        want = [b.tobytes() for b in _simulate(c, t, 9)]
         monkeypatch.delattr(os, "sched_getaffinity")
         cuts = {}
         for count in (3, None):
-            kernel = SliceKernel()
+            spy = SliceKernel()
             with mock.patch.object(os, "cpu_count", return_value=count), \
-                    mock.patch.object(harness, "_load_kernel", lambda: kernel):
-                assert [b.tobytes() for b in _simulate(c, 9)] == want
-            cuts[count] = sorted(r0 for r0, _ in kernel.done)
+                    mock.patch.object(harness, "_load_kernel", lambda: spy):
+                assert [b.tobytes() for b in _simulate(c, t, 9)] == want
+            cuts[count] = sorted(r0 for r0, _ in spy.done)
         assert cuts == {3: [0, 3, 6], None: [0]}
-        assert [b.tobytes() for b in _simulate(c, 9)] == want  # this machine's cpu_count
+        assert [b.tobytes() for b in _simulate(c, t, 9)] == want  # this machine's cpu_count
 
 
 class TestSteadyStateError:
@@ -458,7 +461,7 @@ class TestErrorTable:
         seed = data.draw(st.integers(0, 2**64 - 1))
         cells = n_pmax * n_theta
         budget = 2 * cells * data.draw(st.integers(1, 3)) + data.draw(st.integers(0, 2 * cells - 1))
-        with mock.patch.object(harness, "_BLOCK_BUDGET", budget):
+        with mock.patch.object(kernel, "_BLOCK_BUDGET", budget):
             table = error_table(spec, target, p_max_values, theta_values, steps, seed, x0, stride)
         assert table.shape == (3, cells)
         for p_max, theta, error in table.T:
@@ -479,6 +482,7 @@ class TestErrorTable:
         cfgs = [LearnerConfig(0.05, 1.0), LearnerConfig(0.2, 0.95), LearnerConfig(0.01, 0.9)]
         runs = [SimConfig(spec, cfg, cfg, JointState(0.5, 0.3), 300, 0x9E3779B97F4A7C15, 7)
                 for cfg in cfgs[:cells]]
+        t = _record_steps(runs[0])
 
         def path(step, width, tabs):
             streams = []
@@ -487,8 +491,8 @@ class TestErrorTable:
                 streams.append(args[1])
                 step(*args)
 
-            with mock.patch.object(harness, "_BLOCK_BUDGET", 2 * cells * 5):
-                blocks = [b for _, b in harness._run_blocks(runs[0], 1, width, spy, tabs)]
+            with mock.patch.object(kernel, "_BLOCK_BUDGET", 2 * cells * 5):
+                blocks = list(harness._run_blocks(runs[0], t, 1, width, spy, tabs))
             assert len(blocks) > 1
             return np.concatenate(blocks), streams[-1].tobytes()
 
@@ -513,22 +517,24 @@ class TestErrorTable:
     def test_each_cell_runs_once_whatever_its_targets(self, case3, monkeypatch):
         """case3 scores each cell against its two corners from one pass: the
         kernel steps the table's 1000 steps once, both cells in each call,
-        over several calls that each start where the last one stopped."""
+        over calls that each start where the last one stopped, and records
+        only the late window, 3 of the 21 steps at stride 50."""
         real, calls = _load_kernel(), []
 
         class Spy:
             seed_runs = real.seed_runs
 
             def advance_cells(self, cells, st, pq, t, rec, k, *rest):
-                calls.append((cells, t, int(rec[k - 1])))
+                calls.append((cells, t, rec[:k].tolist()))
                 real.advance_cells(cells, st, pq, t, rec, k, *rest)
 
         monkeypatch.setattr(harness, "_load_kernel", Spy)
-        monkeypatch.setattr(harness, "_BLOCK_BUDGET", 40)  # 10 records a call
+        monkeypatch.setattr(kernel, "_BLOCK_BUDGET", 4)  # one record a call
         error_table(case3, None, [0.99, 0.95], [0.2], steps=1000, seed=3, record_stride=50)
-        assert len(calls) == 3 and {cells for cells, _, _ in calls} == {2}
-        ends = [end for _, _, end in calls]
-        assert [t for _, t, _ in calls] == [0, *ends[:-1]] and ends[-1] == 1000
+        assert {cells for cells, _, _ in calls} == {2}
+        recorded = [step for _, _, rec in calls for step in rec]
+        assert recorded == [900, 950, 1000]
+        assert [t for _, t, _ in calls] == [0, *(rec[-1] for _, _, rec in calls[:-1])]
 
     def test_empty_parameter_lists_rejected(self, case1):
         with pytest.raises(ValueError):
@@ -593,6 +599,73 @@ class TestCsvOutput:
         c = sim_config(case1, steps=250)
         assert run_game(c).t.dtype == np.int64
         assert run_ensemble(c, runs=2).t.dtype == np.int64
+
+
+class TestBlockBudget:
+    """kernel._BLOCK_BUDGET, read through kernel._chunks alone, bounds every
+    kernel call of the package."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 60), width=st.integers(1, 30), budget=st.integers(1, 100))
+    def test_chunks_tile_the_range_within_the_rule(self, n, width, budget):
+        with mock.patch.object(kernel, "_BLOCK_BUDGET", budget):
+            chunks = list(kernel._chunks(n, width))
+        k = max(1, budget // width)
+        starts = [0, *(j for _, j in chunks)]
+        assert [i for i, _ in chunks] == starts[:-1] and starts[-1] == n  # n = 0 yields none
+        assert all(0 < j - i <= k for i, j in chunks)
+        assert all(j - i == k for i, j in chunks[:-1])
+
+    def test_one_budget_bounds_every_kernel_call(self, case1, tmp_path):
+        """Patched at 2 and 3 (below one record of advance, one RK4 step and
+        one CSV row) and at 50, the budget bounds the values of each call of
+        advance (through _simulate), advance_cells (through error_table), rk4
+        (through integrate) and format_rows (through cli._write_csv) by
+        max(budget, width), one item's values, plus rk4's start row, and
+        every output is the unpatched one, byte for byte."""
+        real, calls = _load_kernel(), []  # (function, values, item width)
+
+        class Spy:
+            seed_runs = real.seed_runs
+
+            def advance(self, runs, st, pq, t, rec, k, ptype, tab, out, *slice_):
+                calls.append(("advance", out.size, 2 * runs))
+                real.advance(runs, st, pq, t, rec, k, ptype, tab, out, *slice_)
+
+            def advance_cells(self, cells, *args):
+                calls.append(("advance_cells", args[-1].size, 2 * cells))
+                real.advance_cells(cells, *args)
+
+            def rk4(self, tab, n, x, k):
+                calls.append(("rk4", x.size - 2, 2))
+                return real.rk4(tab, n, x, k)
+
+            def format_rows(self, n, ncols, cols, buf, cap):
+                calls.append(("format_rows", cols.size, ncols))
+                return real.format_rows(n, ncols, cols, buf, cap)
+
+        def outputs():
+            c = sim_config(case1, steps=300, stride=7)
+            table = error_table(case1, None, [0.99, 0.95], [0.05, 0.01], 300, 4, record_stride=3)
+            path = integrate(case1, JointState(0.9, 0.1), 0.99, step=0.01, t_max=3.0)
+            cli._write_csv(str(tmp_path / "x.csv"), "t,p1,q1", path.t, *path.x.T)
+            return (run_ensemble(c, 9).x.tobytes(), terminal_states(c, 9).tobytes(),
+                    table.tobytes(), path.t.tobytes(), path.x.tobytes(),
+                    (tmp_path / "x.csv").read_bytes())
+
+        want = outputs()
+        with mock.patch.object(harness, "_load_kernel", Spy), \
+                mock.patch.object(dynamics, "_load_kernel", Spy), \
+                mock.patch.object(cli, "_load_kernel", Spy):
+            for budget in (2, 3, 50):
+                calls.clear()
+                with mock.patch.object(kernel, "_BLOCK_BUDGET", budget):
+                    assert outputs() == want
+                assert {name for name, _, _ in calls} == {
+                    "advance", "advance_cells", "rk4", "format_rows"}
+                assert all(size <= max(budget, width) for _, size, width in calls)
+                names = [name for name, _, _ in calls]
+                assert all(names.count(name) > 1 for name in names)  # every output is cut
 
 
 class TestKernelCache:
