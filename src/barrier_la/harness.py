@@ -18,11 +18,9 @@ clang); without one, _load_kernel raises OSError.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import os
-import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -186,20 +184,19 @@ def basin_split(
 # the streams with its seed_runs and steps the lanes one (records, 2, width)
 # block at a time, cut by kernel._chunks, recording only the steps its
 # caller reads: _simulate gives each run its own stream and steps the runs
-# through advance on _in_slices; error_table gives its cells one stream and
-# steps them through advance_cells, so they share their draws as they would
-# share a seed in separate runs.  Both step every lane with the kernel's one
-# scalar loop, lockstep, where kernel.py describes the (5, 4) table _table
-# builds and the operations, those of the tests' one-draw-at-a-time
-# reference loop on numpy's own generator.
+# through advance on up to one thread per usable core; error_table gives
+# its cells one stream and steps them through advance_cells, so they share
+# their draws as they would share a seed in separate runs.  Both step every
+# lane with the kernel's one scalar loop, lockstep, where kernel.py
+# describes the (5, 4) table _table builds and the operations, those of the
+# tests' one-draw-at-a-time reference loop on numpy's own generator.
 # -ffp-contract=off (never -ffast-math) keeps C from fusing a product into
-# the following sum.  _in_slices cuts each block's runs into one contiguous
-# slice per usable core and runs the slices on threads at once, as ctypes
-# releases the GIL; a call touches only its own runs' state and output
-# slots.  Within a slice, advance steps groups of eight runs in AVX-512
-# lanes where the CPU has them, with lockstep's bytes, so nothing here
-# chooses between the two.
-# Seeding, the ensemble mean and error tables stay on one thread.
+# the following sum.  advance shares each block's runs between its threads
+# eight at a time, as each thread gets to them, and joins them before it
+# returns; a group touches only its own runs' state and output slots, and
+# goes through AVX-512 lanes where the CPU has them, with lockstep's bytes,
+# so nothing here chooses a thread count or a loop.
+# Seeding, the ensemble mean and error tables stay on the calling thread.
 # ----------------------------------------------------------------------
 
 
@@ -241,8 +238,8 @@ def _simulate(c: SimConfig, t: np.ndarray, runs: int):
     """Yield the states of all runs of c at the record steps t, one block of
     shape (records, 2, runs) at a time.  Run k uses seed c.seed XOR k."""
     _check_count("runs", runs, 1)
-    advance = functools.partial(_in_slices, _load_kernel().advance)
-    yield from _run_blocks(c, t, runs, runs, advance, _table(c))
+    advance, cores = _load_kernel().advance, _usable_cores()
+    yield from _run_blocks(c, t, runs, runs, lambda *args: advance(*args, cores), _table(c))
 
 
 def _usable_cores() -> int:
@@ -251,33 +248,3 @@ def _usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _in_slices(advance, runs: int, *args) -> None:
-    """Call advance(runs, *args, r0, r1) once per slice [r0, r1) of the runs,
-    cut into min(runs, _usable_cores()) contiguous slices: the first on this
-    thread, each other on a thread of its own.  Every worker is joined
-    before this returns or raises, and an exception in any slice is raised
-    here, so a block is never left part-written."""
-    n = min(runs, _usable_cores())
-    cuts = [runs * j // n for j in range(n + 1)]
-    errors: list[BaseException] = []
-
-    def work(r0: int, r1: int) -> None:
-        try:
-            advance(runs, *args, r0, r1)
-        except BaseException as exc:  # raised again on the caller's thread below
-            errors.append(exc)
-
-    workers = []
-    try:
-        for r0, r1 in zip(cuts[1:-1], cuts[2:]):
-            worker = threading.Thread(target=work, args=(r0, r1))
-            worker.start()
-            workers.append(worker)
-        advance(runs, *args, cuts[0], cuts[1])
-    finally:
-        for worker in workers:
-            worker.join()
-    if errors:
-        raise errors[0]

@@ -6,22 +6,27 @@ the CSV row formatter.
 ``format_rows``.  One scalar loop, ``lockstep``, steps lanes in lockstep on
 one stream, each lane on its own table; its comment gives the table layout
 and the same-bytes contract.  ``advance`` steps runs that each own a stream
-through it one run at a time, and ``advance_cells`` steps an error table's
-cells, which share one stream, through it together, so each step's draws
-are made once for all of them.  The library is built from ``_KERNEL_C`` by
-the system's C compiler on first use (gcc or clang: the generator and the
-formatter need ``unsigned __int128``) and cached; without one, _load_kernel
-raises OSError, so every command that simulates or writes CSV needs the
-compiler.
+through it one run at a time (or eight in vector lanes, below), and
+``advance_cells`` steps an error table's cells, which share one stream,
+through it together, so each step's draws are made once for all of them.
+The library is built from ``_KERNEL_C`` by the system's C compiler on first
+use (gcc or clang: the generator and the formatter need ``unsigned
+__int128``) and cached; without one, _load_kernel raises OSError, so every
+command that simulates or writes CSV needs the compiler.
 
-On x86-64 ``advance`` steps eight runs at once, one per 64-bit lane of an
-AVX-512 vector, when the CPU has avx512f and avx512dq.  It asks the CPU at
-run time, on every call; the vector functions are compiled for those
-extensions by a function attribute, so the compile command and the cache
-key do not change.  ``lockstep`` steps the rest of a slice (fewer than
-eight runs), every slice on a CPU without those extensions, and every run
-on other architectures, with the same bytes.  There is no option to choose
-between them.
+``advance`` takes a thread count.  It starts min(threads, groups) - 1
+POSIX threads, where a group is eight runs, and each of them and the
+caller's thread take the next group from one atomic counter until none is
+left; all are joined before it returns, and where a thread cannot be
+started the others do its share.  A run's bytes do not depend on the thread
+that steps it.  On x86-64 a group is stepped in the eight 64-bit lanes of
+AVX-512 vectors when the CPU has avx512f and avx512dq, asked at run time on
+every call; the vector functions are compiled for those extensions by a
+function attribute, so the compile command and the cache key do not
+change.  ``lockstep`` steps the runs of a last group of fewer than eight,
+every group on a CPU without those extensions, and every run on other
+architectures, one run at a time, with the same bytes.  There is no option
+to choose between them.
 """
 
 from __future__ import annotations
@@ -54,9 +59,16 @@ def _chunks(n: int, width: int):
 
 
 _KERNEL_C = r"""
+/* Nothing in this file calls an exported function (seed_runs, advance,
+   advance_cells, rk4, format_rows): such a call binds by name when the
+   library loads, and may reach another library's symbol, as glibc exports
+   a legacy advance(3) from <regexp.h>.  advance's threads run static
+   functions alone. */
 #include <math.h>
+#include <pthread.h>
 #include <stdint.h>
 #include <stdio.h>
+#include <stdlib.h>
 #include <string.h>
 
 typedef unsigned __int128 u128;
@@ -120,58 +132,76 @@ static inline double next_double(u128 *s, u128 inc)
     return (x >> 11) * (1.0 / 9007199254740992.0);
 }
 
+/* One advance call, as advance's arguments, and the groups of eight runs
+   its threads share: next is the first run no thread has taken. */
+typedef struct {
+    int64_t runs, t, k, next;
+    uint64_t *st;
+    double *pq, *out;
+    const int64_t *rec;
+    const double *tab;
+    int ptype, avx512;
+} work;
+
 #if defined(__x86_64__)
 #include <immintrin.h>
 
 #define AVX512 __attribute__((target("avx512f,avx512dq")))
 
-/* Eight PCG64 generators, one per 64-bit lane: state and increment, each
-   as its low and high words. */
+/* A 128-bit value in each 64-bit lane, as its low and high words. */
 typedef struct {
-    __m512i lo, hi, ilo, ihi;
-} pcg8;
+    __m512i lo, hi;
+} u128x8;
 
-/* next_double in each lane.  The product's low word, and the high word of
-   the product of the two low words, come from four 32 x 32-bit partial
-   products; the cross terms, low word times MULT's high word and high word
-   times MULT's low word, from mullo; adding the increment's low word
-   carries into the high word where the sum wraps.  All of it is exact
-   integer arithmetic, and x >> 11 < 2^53 converts to a double exactly, so
-   each lane gives next_double's bits. */
-static inline AVX512 __m512d next_double8(pcg8 *g)
+/* a * m + c in each lane, mod 2^128, for one m in every lane.  The
+   product's low word, and the high word of the product of the two low
+   words, come from four 32 x 32-bit partial products; the cross terms, low
+   word times m's high word and high word times m's low word, from mullo;
+   adding c's low word carries into the high word where the sum wraps.  All
+   of it is exact integer arithmetic: with m = MULT and c the increment it
+   is next_double's LCG step. */
+static inline AVX512 u128x8 affine8(u128x8 a, u128 m, u128x8 c)
 {
-    const __m512i m0 = _mm512_set1_epi64((int64_t)(uint64_t)MULT);
-    const __m512i m1 = _mm512_set1_epi64((int64_t)((uint64_t)MULT >> 32));
-    const __m512i mh = _mm512_set1_epi64((int64_t)(uint64_t)(MULT >> 64));
+    const __m512i m0 = _mm512_set1_epi64((int64_t)(uint64_t)m);
+    const __m512i m1 = _mm512_set1_epi64((int64_t)((uint64_t)m >> 32));
+    const __m512i mh = _mm512_set1_epi64((int64_t)(uint64_t)(m >> 64));
     const __m512i low32 = _mm512_set1_epi64(0xffffffff);
-    __m512i a1 = _mm512_srli_epi64(g->lo, 32);
-    __m512i p00 = _mm512_mul_epu32(g->lo, m0), p01 = _mm512_mul_epu32(g->lo, m1);
+    __m512i a1 = _mm512_srli_epi64(a.lo, 32);
+    __m512i p00 = _mm512_mul_epu32(a.lo, m0), p01 = _mm512_mul_epu32(a.lo, m1);
     __m512i p10 = _mm512_mul_epu32(a1, m0), p11 = _mm512_mul_epu32(a1, m1);
     __m512i mid = _mm512_add_epi64(p10, _mm512_srli_epi64(p00, 32));
     __m512i mid2 = _mm512_add_epi64(p01, _mm512_and_si512(mid, low32));
-    __m512i cross = _mm512_add_epi64(_mm512_mullo_epi64(g->lo, mh),
-                                     _mm512_mullo_epi64(g->hi, m0));
+    __m512i cross = _mm512_add_epi64(_mm512_mullo_epi64(a.lo, mh), _mm512_mullo_epi64(a.hi, m0));
     __m512i hi = _mm512_add_epi64(_mm512_add_epi64(p11, _mm512_srli_epi64(mid, 32)),
                                   _mm512_srli_epi64(mid2, 32));
-    hi = _mm512_add_epi64(_mm512_add_epi64(hi, cross), g->ihi);
+    hi = _mm512_add_epi64(_mm512_add_epi64(hi, cross), c.hi);
     __m512i lo = _mm512_or_si512(_mm512_slli_epi64(mid2, 32), _mm512_and_si512(p00, low32));
-    lo = _mm512_add_epi64(lo, g->ilo);
-    hi = _mm512_mask_add_epi64(hi, _mm512_cmplt_epu64_mask(lo, g->ilo), hi,
-                               _mm512_set1_epi64(1));
-    g->lo = lo;
-    g->hi = hi;
-    __m512i x = _mm512_rorv_epi64(_mm512_xor_si512(hi, lo), _mm512_srli_epi64(hi, 58));
+    lo = _mm512_add_epi64(lo, c.lo);
+    hi = _mm512_mask_add_epi64(hi, _mm512_cmplt_epu64_mask(lo, c.lo), hi, _mm512_set1_epi64(1));
+    return (u128x8){lo, hi};
+}
+
+/* next_double's output of the state s in each lane: x >> 11 < 2^53
+   converts to a double exactly, so each lane gives next_double's bits. */
+static inline AVX512 __m512d out8(u128x8 s)
+{
+    __m512i x = _mm512_rorv_epi64(_mm512_xor_si512(s.hi, s.lo), _mm512_srli_epi64(s.hi, 58));
     return _mm512_mul_pd(_mm512_cvtepu64_pd(_mm512_srli_epi64(x, 11)),
                          _mm512_set1_pd(1.0 / 9007199254740992.0));
 }
 
-/* lockstep's steps for the runs [r0, r0 + 8 * floor((r1 - r0) / 8)), run
-   r + i in lane i of a group, comparisons and table reads as masks and lane
-   permutes.  Returns the first run it did not advance. */
-static AVX512 int64_t advance8(int64_t runs, uint64_t *st, double *pq, int64_t t,
-                               const int64_t *rec, int64_t k, int ptype, const double *tab,
-                               double *out, int64_t r0, int64_t r1)
+/* lockstep's steps for the eight runs from r of w, run r + i in lane i,
+   comparisons and table reads as masks and lane permutes.  A step's draws
+   do not wait on each other: the LCG's j-th state from s is M^j s + c_j,
+   with c_j = inc (1 + M + ... + M^(j-1)), so u_j is
+   out8(affine8(s, M^j, c_j)) for j = 1..4 (1..2 under S), and the last of
+   them is the next s. */
+static AVX512 void advance8(const work *w, int64_t r)
 {
+    const int64_t runs = w->runs, k = w->k, *rec = w->rec;
+    const double *tab = w->tab;
+    double *pq = w->pq, *out = w->out;
+    const int ptype = w->ptype;
     const __m512i words = _mm512_setr_epi64(0, 4, 8, 12, 16, 20, 24, 28);
     const __m512i one = _mm512_set1_epi64(1), two = _mm512_set1_epi64(2);
     const __m512d fa = _mm512_broadcast_f64x4(_mm256_loadu_pd(tab));
@@ -180,43 +210,49 @@ static AVX512 int64_t advance8(int64_t runs, uint64_t *st, double *pq, int64_t t
     const __m512d tb = _mm512_broadcast_f64x4(_mm256_loadu_pd(tab + 12));
     const __m512d ga0 = _mm512_set1_pd(tab[16]), ga1 = _mm512_set1_pd(tab[17]);
     const __m512d gb0 = _mm512_set1_pd(tab[18]), gb1 = _mm512_set1_pd(tab[19]);
-    int64_t r = r0;
-    for (; r + 8 <= r1; r += 8) {
-        long long *g = (long long *)(st + 4 * r);
-        pcg8 s = {_mm512_i64gather_epi64(words, g, 8), _mm512_i64gather_epi64(words, g + 1, 8),
-                  _mm512_i64gather_epi64(words, g + 2, 8),
-                  _mm512_i64gather_epi64(words, g + 3, 8)};
-        __m512d p = _mm512_loadu_pd(pq + r), q = _mm512_loadu_pd(pq + runs + r);
-        int64_t n = t;
-        for (int64_t j = 0; j < k; j++) {
-            for (; n < rec[j]; n++) {
-                __m512d u0 = next_double8(&s);
-                __m512d u1 = next_double8(&s);
-                __mmask8 a = _mm512_cmp_pd_mask(u0, p, _CMP_GE_OQ);
-                __mmask8 b = _mm512_cmp_pd_mask(u1, q, _CMP_GE_OQ);
-                __m512i x = _mm512_maskz_mov_epi64(a, two);
-                x = _mm512_mask_add_epi64(x, b, x, one);
-                __m512d f = _mm512_permutexvar_pd(x, fa), h = _mm512_permutexvar_pd(x, fb);
-                if (ptype) {
-                    __m512d u2 = next_double8(&s);
-                    __m512d u3 = next_double8(&s);
-                    f = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(u2, f, _CMP_LT_OQ), ga0, ga1);
-                    h = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(u3, h, _CMP_LT_OQ), gb0, gb1);
-                }
-                __m512d dp = _mm512_sub_pd(_mm512_permutexvar_pd(x, ta), p);
-                __m512d dq = _mm512_sub_pd(_mm512_permutexvar_pd(x, tb), q);
-                p = _mm512_add_pd(p, _mm512_mul_pd(f, dp));
-                q = _mm512_add_pd(q, _mm512_mul_pd(h, dq));
-            }
-            _mm512_storeu_pd(out + 2 * j * runs + r, p);
-            _mm512_storeu_pd(out + (2 * j + 1) * runs + r, q);
-        }
-        _mm512_i64scatter_epi64(g, words, s.lo, 8);
-        _mm512_i64scatter_epi64(g + 1, words, s.hi, 8);
-        _mm512_storeu_pd(pq + r, p);
-        _mm512_storeu_pd(pq + runs + r, q);
+    const u128x8 zero = {_mm512_setzero_si512(), _mm512_setzero_si512()};
+    u128 mj[4] = {MULT}, sj[4] = {1}; /* M^j and 1 + M + ... + M^(j-1) */
+    for (int j = 1; j < 4; j++) {
+        mj[j] = mj[j - 1] * MULT;
+        sj[j] = sj[j - 1] * MULT + 1;
     }
-    return r;
+    long long *g = (long long *)(w->st + 4 * r);
+    u128x8 s = {_mm512_i64gather_epi64(words, g, 8), _mm512_i64gather_epi64(words, g + 1, 8)};
+    u128x8 inc = {_mm512_i64gather_epi64(words, g + 2, 8),
+                  _mm512_i64gather_epi64(words, g + 3, 8)};
+    u128x8 c[4];
+    for (int j = 0; j < 4; j++)
+        c[j] = affine8(inc, sj[j], zero);
+    __m512d p = _mm512_loadu_pd(pq + r), q = _mm512_loadu_pd(pq + runs + r);
+    int64_t n = w->t;
+    for (int64_t j = 0; j < k; j++) {
+        for (; n < rec[j]; n++) {
+            u128x8 s1 = affine8(s, mj[0], c[0]), s2 = affine8(s, mj[1], c[1]);
+            __mmask8 a = _mm512_cmp_pd_mask(out8(s1), p, _CMP_GE_OQ);
+            __mmask8 b = _mm512_cmp_pd_mask(out8(s2), q, _CMP_GE_OQ);
+            __m512i x = _mm512_maskz_mov_epi64(a, two);
+            x = _mm512_mask_add_epi64(x, b, x, one);
+            __m512d f = _mm512_permutexvar_pd(x, fa), h = _mm512_permutexvar_pd(x, fb);
+            if (ptype) {
+                u128x8 s3 = affine8(s, mj[2], c[2]), s4 = affine8(s, mj[3], c[3]);
+                f = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(out8(s3), f, _CMP_LT_OQ), ga0, ga1);
+                h = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(out8(s4), h, _CMP_LT_OQ), gb0, gb1);
+                s = s4;
+            } else {
+                s = s2;
+            }
+            __m512d dp = _mm512_sub_pd(_mm512_permutexvar_pd(x, ta), p);
+            __m512d dq = _mm512_sub_pd(_mm512_permutexvar_pd(x, tb), q);
+            p = _mm512_add_pd(p, _mm512_mul_pd(f, dp));
+            q = _mm512_add_pd(q, _mm512_mul_pd(h, dq));
+        }
+        _mm512_storeu_pd(out + 2 * j * runs + r, p);
+        _mm512_storeu_pd(out + (2 * j + 1) * runs + r, q);
+    }
+    _mm512_i64scatter_epi64(g, words, s.lo, 8);
+    _mm512_i64scatter_epi64(g + 1, words, s.hi, 8);
+    _mm512_storeu_pd(pq + r, p);
+    _mm512_storeu_pd(pq + runs + r, q);
 }
 #endif
 
@@ -259,23 +295,54 @@ lockstep(int64_t n, uint64_t *g, double *p, double *q, int64_t t, const int64_t 
     g[1] = (uint64_t)(s >> 64);
 }
 
-/* Step the runs [r0, r1) on their own streams in st, all on tab; calls on
-   disjoint ranges may run at once.  advance8 takes groups of eight where the
-   CPU has avx512f and avx512dq, lockstep the rest with p, q in locals. */
-void advance(int64_t runs, uint64_t *st, double *pq, int64_t t, const int64_t *rec,
-             int64_t k, int ptype, const double *tab, double *out, int64_t r0, int64_t r1)
+/* Take the next eight runs of w until none is left: advance8 steps them
+   where the CPU has avx512f and avx512dq, and lockstep a group of fewer,
+   or every group elsewhere, one run at a time with p, q in locals.  A
+   group touches only its own runs' state and output slots. */
+static void *take_groups(void *arg)
 {
+    work *w = arg;
+    for (int64_t r; (r = __atomic_fetch_add(&w->next, 8, __ATOMIC_RELAXED)) < w->runs;) {
+        int64_t r1 = r + 8 < w->runs ? r + 8 : w->runs;
+#if defined(__x86_64__)
+        if (w->avx512 && r1 - r == 8) {
+            advance8(w, r);
+            continue;
+        }
+#endif
+        for (; r < r1; r++) {
+            double p = w->pq[r], q = w->pq[w->runs + r];
+            lockstep(1, w->st + 4 * r, &p, &q, w->t, w->rec, w->k, w->ptype, w->tab, 0,
+                     w->out + r, w->runs);
+            w->pq[r] = p;
+            w->pq[w->runs + r] = q;
+        }
+    }
+    return NULL;
+}
+
+/* Step the runs on their own streams in st, all on tab, on this thread and
+   min(threads, groups) - 1 more, each taking the next group of eight runs
+   as it gets to them; all of them are joined before this returns.  A
+   thread that cannot be started leaves its groups to the others. */
+void advance(int64_t runs, uint64_t *st, double *pq, int64_t t, const int64_t *rec,
+             int64_t k, int ptype, const double *tab, double *out, int64_t threads)
+{
+    work w = {runs, t, k, 0, st, pq, out, rec, tab, ptype, 0};
 #if defined(__x86_64__)
     __builtin_cpu_init();
-    if (r1 - r0 >= 8 && __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq"))
-        r0 = advance8(runs, st, pq, t, rec, k, ptype, tab, out, r0, r1);
+    w.avx512 = __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq");
 #endif
-    for (int64_t r = r0; r < r1; r++) {
-        double p = pq[r], q = pq[runs + r];
-        lockstep(1, st + 4 * r, &p, &q, t, rec, k, ptype, tab, 0, out + r, runs);
-        pq[r] = p;
-        pq[runs + r] = q;
-    }
+    int64_t groups = (runs + 7) / 8, n = 0;
+    if (threads > groups)
+        threads = groups;
+    pthread_t *workers = threads > 1 ? malloc((size_t)(threads - 1) * sizeof *workers) : NULL;
+    while (workers && n < threads - 1 && !pthread_create(workers + n, NULL, take_groups, &w))
+        n++;
+    take_groups(&w);
+    while (n)
+        pthread_join(workers[--n], NULL);
+    free(workers);
 }
 
 /* Step an error table's cells, one table each, on the one stream in st. */
@@ -435,7 +502,7 @@ int64_t format_rows(int64_t n, int64_t ncols, const double *cols, char *buf, int
     return b - buf;
 }
 """
-_CC = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_CC = ("cc", "-O2", "-fPIC", "-shared", "-pthread", "-ffp-contract=off")
 
 
 @functools.cache
@@ -479,7 +546,7 @@ def _load_kernel():
         for d in (np.float64, np.int64, np.uint64, np.uint8)
     )
     kernel.seed_runs.argtypes = [i64, ctypes.c_uint64, u8]
-    kernel.advance.argtypes = [i64, u8, f8, i64, i8, i64, i32, f8, f8, i64, i64]
+    kernel.advance.argtypes = [i64, u8, f8, i64, i8, i64, i32, f8, f8, i64]
     kernel.advance_cells.argtypes = [i64, u8, f8, i64, i8, i64, i32, f8, f8]
     kernel.rk4.argtypes = [f8, i64, f8, i8]
     kernel.format_rows.argtypes = [i64, i64, f8, b1, i64]

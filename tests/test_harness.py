@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import threading
 import time
@@ -59,8 +60,8 @@ def sim_configs(draw, model):
 
 @contextlib.contextmanager
 def usable_cores(n):
-    """_simulate sees n usable cores, so it cuts every block of more than one
-    run into min(runs, n) slices."""
+    """_simulate sees n usable cores, so advance shares every block between
+    min(n, groups of eight runs) threads."""
     with mock.patch.object(os, "sched_getaffinity", return_value=set(range(n))):
         yield
 
@@ -187,12 +188,12 @@ class TestRunEnsemble:
     @given(data=st.data(), runs=st.integers(1, 24), budget=st.integers(2, 400))
     def test_blocks_match_reference_loop_at_any_slice_count(self, model, data, runs, budget):
         """On any config, any _BLOCK_BUDGET (so across block boundaries) and
-        1, 2, 3 or 7 usable cores (so uneven slices, and fewer runs than
-        cores), _simulate yields blocks of at most the budget's records,
-        byte-equal to those of one slice, and lane k of their concatenation
-        is reference_loop at seed c.seed XOR k, bit for bit.  Up to 24 runs,
-        so that a slice of a 2-core split can still fill advance's eight
-        vector lanes."""
+        1, 2, 3 or 7 usable cores (7 threads are more than the at most three
+        groups of eight runs), _simulate yields blocks of at most the
+        budget's records, byte-equal to those of one thread, and lane k of
+        their concatenation is reference_loop at seed c.seed XOR k, bit for
+        bit.  Up to 24 runs, so that up to three threads each fill
+        advance's eight vector lanes."""
         c = data.draw(sim_configs(model))
         by_cores = {}
         for cores in (1, 2, 3, 7):
@@ -210,18 +211,19 @@ class TestRunEnsemble:
     @pytest.mark.parametrize("model", [Model.P, Model.S])
     @pytest.mark.parametrize("runs", [1, 7, 8, 9, 16, 17, 40])
     def test_vector_lanes_and_tails_match_run_game(self, model, runs):
-        """advance steps eight runs at a time where the CPU has AVX-512 and
-        the rest of a slice one at a time.  Over run counts below, at and
-        past multiples of eight, cut into 1, 2 or 3 slices, with blocks of
-        40 records or fewer (so every run stops mid-way at least once), lane
-        k of _simulate is run_game at seed XOR k, which runs alone and so on
-        lockstep, bit for bit."""
+        """advance steps each group of eight runs in AVX-512 lanes where the
+        CPU has them, and the last runs that do not fill a group one at a
+        time.  Over run counts below, at and past multiples of eight, shared
+        by 1, 2, 3 or 8 threads (more than the five groups of 40 runs), with
+        blocks of 40 records or fewer (so every run stops mid-way at least
+        once), lane k of _simulate is run_game at seed XOR k, which runs
+        alone and so on lockstep, bit for bit."""
         spec = game_of((1.0, 0.0, 0.25, 1.0), (0.0, 1.0, 0.6, 0.0), model)
         cfg_a, cfg_b = LearnerConfig(theta=0.05, p_max=1.0), LearnerConfig(theta=0.2, p_max=0.95)
         c = SimConfig(spec, cfg_a, cfg_b, JointState(0.5, 0.3), 300, 0x9E3779B97F4A7C15, 7)
         lanes = [run_game(dataclasses.replace(c, seed=c.seed ^ k)).x for k in range(runs)]
         want = np.stack(lanes, axis=-1)
-        for cores in (1, 2, 3):
+        for cores in (1, 2, 3, 8):
             with usable_cores(cores), mock.patch.object(kernel, "_BLOCK_BUDGET", 80):
                 blocks = list(_simulate(c, _record_steps(c), runs))
             assert len(blocks) > 1
@@ -287,97 +289,94 @@ class TestRunEnsemble:
         assert math.hypot(m[0] - 0.999, m[1] - 0.001) < 0.05
 
 
-class SliceKernel:
-    """The C kernel, with advance wrapped: it records the slice and thread of
-    each call, raises on the slice that starts at run fail_at, and makes the
-    other slices take at least delay seconds."""
+class ThreadKernel:
+    """The C kernel, with advance wrapped: it records the thread count each
+    call is given and the /proc/self/task entries before, during (polled on
+    a Python thread, as ctypes releases the lock) and after it."""
 
-    def __init__(self, fail_at=None, delay=0.0):
-        self.fail_at, self.delay = fail_at, delay
-        self.done = []  # (r0, Thread) of each slice that finished
+    TASKS = "/proc/self/task"
+
+    def __init__(self):
+        self.threads, self.tasks = [], []  # per call: (before, most seen, after)
 
     def seed_runs(self, *args):
         _load_kernel().seed_runs(*args)
 
     def advance(self, *args):
-        r0 = args[-2]  # the slice [r0, r1) comes last
-        if r0 == self.fail_at:
-            raise RuntimeError(f"slice at run {r0}")
-        time.sleep(self.delay)
-        _load_kernel().advance(*args)
-        self.done.append((r0, threading.current_thread()))
+        self.threads.append(args[-1])
+        if not os.path.isdir(self.TASKS):
+            _load_kernel().advance(*args)
+            return
+        seen, stop = [], threading.Event()
+
+        def poll():
+            while not stop.is_set():
+                seen.append(len(os.listdir(self.TASKS)))
+                time.sleep(1e-4)
+
+        poller = threading.Thread(target=poll)
+        poller.start()
+        try:
+            before = len(os.listdir(self.TASKS))
+            _load_kernel().advance(*args)
+            # a joined thread may stay listed for the few microseconds its
+            # exit takes, far less than one of its groups of runs
+            for _ in range(10):
+                after = len(os.listdir(self.TASKS))
+                if after == before:
+                    break
+                time.sleep(1e-4)
+        finally:
+            stop.set()
+            poller.join(timeout=10)
+        assert not poller.is_alive()
+        self.tasks.append((before, max(seen, default=before), after))
 
 
 class TestRunSlices:
-    """_simulate splits each block's runs into one slice per usable core.
-    Workers are joined before a block is yielded, and a slice's exception
-    reaches the caller."""
-
-    @pytest.mark.parametrize("runs, cores, cuts", [
-        (1, 4, [(0, 1)]), (7, 3, [(0, 2), (2, 4), (4, 7)]), (2, 7, [(0, 1), (1, 2)]),
-    ])
-    def test_in_slices_passes_the_slice_last(self, runs, cores, cuts):
-        """_in_slices calls advance(runs, *args, r0, r1) on min(runs, cores)
-        contiguous slices, the first on the caller's thread, however little
-        work a slice holds."""
-        calls = []
-        with usable_cores(cores):
-            harness._in_slices(
-                lambda *a: calls.append((a, threading.get_ident())), runs, "st", "tab"
-            )
-        assert sorted(a for a, _ in calls) == [(runs, "st", "tab", r0, r1) for r0, r1 in cuts]
-        assert [a[-2] for a, ident in calls if ident == threading.get_ident()] == [0]
-
-    @pytest.mark.parametrize("fail_at", [2, 6])
-    def test_an_exception_in_a_worker_slice_reaches_the_caller(self, case1, fail_at):
-        spy = SliceKernel(fail_at)
-        c, before = sim_config(case1, steps=50), threading.active_count()
-        with usable_cores(4), mock.patch.object(harness, "_load_kernel", lambda: spy):
-            with pytest.raises(RuntimeError, match=f"slice at run {fail_at}"):
-                list(_simulate(c, _record_steps(c), 8))
-        assert threading.active_count() == before
-
-    def test_workers_are_joined_when_the_callers_slice_raises(self, case1):
-        spy = SliceKernel(fail_at=0, delay=0.05)
-        c, before = sim_config(case1, steps=50), threading.active_count()
-        with usable_cores(4), mock.patch.object(harness, "_load_kernel", lambda: spy):
-            with pytest.raises(RuntimeError, match="slice at run 0"):
-                list(_simulate(c, _record_steps(c), 8))
-        assert threading.active_count() == before
-        assert sorted(r0 for r0, _ in spy.done) == [2, 4, 6]  # every worker finished
+    """advance shares each block's runs, eight at a time, between the
+    caller's thread and one kernel thread per further usable core, and joins
+    every thread before it returns."""
 
     def test_no_worker_outlives_a_block(self, case1):
-        spy = SliceKernel()
-        before = threading.active_count()
-        with usable_cores(3), mock.patch.object(harness, "_load_kernel", lambda: spy), \
-                mock.patch.object(kernel, "_BLOCK_BUDGET", 6):  # one record per block
-            c = sim_config(case1, steps=500, stride=100)
-            gen = _simulate(c, _record_steps(c), 3)
-            for _ in range(2):
-                next(gen)
-                assert threading.active_count() == before
-            gen.close()
-        assert threading.active_count() == before
-        assert sorted(r0 for r0, _ in spy.done) == [0, 0, 1, 1, 2, 2]
-        # done keeps each Thread alive, so unlike an ident none is reused
-        assert len({thread for _, thread in spy.done}) >= 3  # each block ran on three threads
+        """Each call runs at most min(cores, groups of eight runs) - 1 kernel
+        threads beside the caller's, so three for 64 cores and four groups,
+        and the /proc/self/task count after it is the count before it."""
+        if not os.path.isdir(ThreadKernel.TASKS):
+            pytest.skip("no /proc/self/task to count threads in")
+        spy = ThreadKernel()
+        # 32 runs are four groups, and a group's 100 000 steps a block take
+        # milliseconds, so the poller can see the threads while they work
+        c, t = sim_config(case1, steps=200_000), np.array([100_000, 200_000], np.int64)
+        want = np.concatenate(list(_simulate(c, t, 32))).tobytes()
+        for cores in (2, 64):
+            with usable_cores(cores), mock.patch.object(harness, "_load_kernel", lambda: spy), \
+                    mock.patch.object(kernel, "_BLOCK_BUDGET", 64):  # one record per block
+                assert np.concatenate(list(_simulate(c, t, 32))).tobytes() == want
+        assert spy.threads == [2, 2, 64, 64]
+        assert all(after == before for before, _, after in spy.tasks)
+        # how many workers the poller sees at one time is up to the
+        # scheduler: on a busy machine one can start after the caller has
+        # taken every group, and exit unseen
+        workers = [seen - before for before, seen, _ in spy.tasks]
+        assert all(n <= most for n, most in zip(workers, [1, 1, 3, 3])) and max(workers) >= 1
 
     def test_without_sched_getaffinity_slices_by_cpu_count(self, case1, monkeypatch):
-        """Where os has no sched_getaffinity (macOS), _simulate slices by
-        os.cpu_count(), or runs one slice when that is None, and the
-        ensemble is the same bytes."""
+        """Where os has no sched_getaffinity (macOS), _simulate gives advance
+        os.cpu_count() threads, or one when that is None, and the ensemble
+        is the same bytes."""
         c = sim_config(case1, steps=300, stride=7)
         t = _record_steps(c)
         want = [b.tobytes() for b in _simulate(c, t, 9)]
         monkeypatch.delattr(os, "sched_getaffinity")
-        cuts = {}
+        threads = {}
         for count in (3, None):
-            spy = SliceKernel()
+            spy = ThreadKernel()
             with mock.patch.object(os, "cpu_count", return_value=count), \
                     mock.patch.object(harness, "_load_kernel", lambda: spy):
                 assert [b.tobytes() for b in _simulate(c, t, 9)] == want
-            cuts[count] = sorted(r0 for r0, _ in spy.done)
-        assert cuts == {3: [0, 3, 6], None: [0]}
+            threads[count] = set(spy.threads)
+        assert threads == {3: {3}, None: {1}}
         assert [b.tobytes() for b in _simulate(c, t, 9)] == want  # this machine's cpu_count
 
 
@@ -498,7 +497,7 @@ class TestErrorTable:
 
         x, stream = path(real.advance_cells, cells, np.stack([harness._table(c) for c in runs]))
         for c, run in enumerate(runs):
-            one, one_stream = path(lambda *a: real.advance(*a, 0, 1), 1, harness._table(run))
+            one, one_stream = path(lambda *a: real.advance(*a, 1), 1, harness._table(run))
             assert np.ascontiguousarray(x[:, :, c]).tobytes() == one[:, :, 0].tobytes()
             assert stream == one_stream
 
@@ -628,9 +627,9 @@ class TestBlockBudget:
         class Spy:
             seed_runs = real.seed_runs
 
-            def advance(self, runs, st, pq, t, rec, k, ptype, tab, out, *slice_):
+            def advance(self, runs, st, pq, t, rec, k, ptype, tab, out, threads):
                 calls.append(("advance", out.size, 2 * runs))
-                real.advance(runs, st, pq, t, rec, k, ptype, tab, out, *slice_)
+                real.advance(runs, st, pq, t, rec, k, ptype, tab, out, threads)
 
             def advance_cells(self, cells, *args):
                 calls.append(("advance_cells", args[-1].size, 2 * cells))
@@ -720,6 +719,16 @@ class TestKernelCache:
         """The source other architectures compile: no AVX-512 lanes, every
         run stepped by lockstep."""
         self.lint(kernel._KERNEL_C.replace("defined(__x86_64__)", "0"))
+
+    def test_no_entry_point_is_called_inside_the_library(self):
+        """The library's exported functions are only defined in its source,
+        never called: a call from inside the library may bind to another
+        library's symbol of the same name, as glibc exports advance(3)."""
+        code = re.sub(r"/\*.*?\*/", "", kernel._KERNEL_C, flags=re.S)
+        exported = re.findall(r"^(?!static)[a-z_0-9]+ \**(\w+)\(", code, flags=re.M)
+        assert sorted(exported) == ["advance", "advance_cells", "format_rows", "rk4", "seed_runs"]
+        for name in exported:
+            assert len(re.findall(rf"\b{name}\s*\(", code)) == 1, name
 
     def test_without_a_compiler_loading_raises_naming_the_command(self, no_compiler):
         with pytest.raises(OSError) as exc:  # and no warning: warnings fail the suite
