@@ -17,6 +17,7 @@ as step-size weights, and the expected increment is identical.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -156,7 +157,8 @@ def integrate(
     StepTooLarge if any RK stage leaves the sanity box [-0.1, 1.1]^2 or an
     accepted state leaves [0, 1]^2, which indicates the step size is too
     coarse for the field, and ValueError unless step > 0, t_max >= 0 and
-    t_max / step are finite.  The loop runs in the C kernel (rk4), so
+    t_max / step are finite and a float64 array can hold the path, before
+    the kernel is loaded.  The loop runs in the C kernel (rk4), so
     computing a path needs a C compiler, as simulating does; without one
     this raises OSError.  Each coordinate sees the operations of _field and
     of the vector form k1 + 2 k2 + 2 k3 + k4 in that order, and the state
@@ -174,8 +176,10 @@ def integrate(
     R, C = spec.R, spec.C
     tab = np.array([R.r11, R.r12, R.r21, R.r22, C.r11, C.r12, C.r21, C.r22,
                     p_max, step, DRIFT_STOP_TOL, *STAGE_BOX, STATE_TOL], np.float64)
-    rk4 = _load_kernel().rk4
     n_steps = int(math.floor(t_max / step + 1e-9))
+    if 16 * (n_steps + 1) > sys.maxsize:
+        raise ValueError(f"t_max / step = {t_max / step:.3g} steps: no float64 array holds the path")
+    rk4 = _load_kernel().rk4
     rows = [np.array([[float(x0.p1), float(x0.q1)]])]
     accepted = np.empty(1, np.int64)
     for i, j in _chunks(n_steps, 2):  # steps i + 1 to j, from the last row

@@ -143,8 +143,7 @@ def error_table(
     tabs = np.stack([_table(c) for c in cells])
     t = _record_steps(cells[0])
     late = t[-max(1, math.ceil(0.1 * len(t))) :]
-    step = _load_kernel().advance_cells
-    window = np.concatenate([*_run_blocks(cells[0], late, 1, len(cells), step, tabs)])
+    window = np.concatenate([*_run_blocks(cells[0], late, 1, len(cells), tabs)])
     errors = []
     for c in range(len(cells)):
         # the cell's samples C-contiguous, as run_game's are, so that the
@@ -180,23 +179,18 @@ def basin_split(
 
 # ----------------------------------------------------------------------
 # Engine internals.  The C kernel (kernel.py), compiled on first use,
-# carries its own port of numpy's SeedSequence and PCG64.  _run_blocks seeds
-# the streams with its seed_runs and steps the lanes one (records, 2, width)
-# block at a time, cut by kernel._chunks, recording only the steps its
-# caller reads: _simulate gives each run its own stream and steps the runs
-# through advance on up to one thread per usable core; error_table gives
-# its cells one stream and steps them through advance_cells, so they share
-# their draws as they would share a seed in separate runs.  Both step every
-# lane with the kernel's one scalar loop, lockstep, where kernel.py
-# describes the (5, 4) table _table builds and the operations, those of the
-# tests' one-draw-at-a-time reference loop on numpy's own generator.
-# -ffp-contract=off (never -ffast-math) keeps C from fusing a product into
-# the following sum.  advance shares each block's runs between its threads
-# eight at a time, as each thread gets to them, and joins them before it
-# returns; a group touches only its own runs' state and output slots, and
-# goes through AVX-512 lanes where the CPU has them, with lockstep's bytes,
-# so nothing here chooses a thread count or a loop.
-# Seeding, the ensemble mean and error tables stay on the calling thread.
+# carries its own port of numpy's SeedSequence and PCG64, and its one entry
+# point, advance, states how it seeds, shares and steps streams of lanes.
+# _run_blocks states only the shape of a simulation: _simulate gives each
+# run its own stream, run k on seed c.seed XOR k, and error_table gives its
+# cells one stream, so they share their draws as they would share a seed in
+# separate runs.  It steps the lanes one (records, 2, width) block at a
+# time, cut by kernel._chunks, recording only the steps its caller reads.
+# The operations are those of the tests' one-draw-at-a-time reference loop
+# on numpy's own generator; -ffp-contract=off (never -ffast-math) keeps C
+# from fusing a product into the following sum.  Nothing here chooses a
+# thread count or a loop.  The ensemble mean and error scoring stay on the
+# calling thread.
 # ----------------------------------------------------------------------
 
 
@@ -218,19 +212,22 @@ def _table(c: SimConfig) -> np.ndarray:
                     np.float64)
 
 
-def _run_blocks(c: SimConfig, t: np.ndarray, streams: int, width: int, step, tabs: np.ndarray):
-    """Step width lanes from c.x0 on streams generators seeded from c.seed by
-    seed_runs, recording them only at the steps t (increasing int64): call
-    step(width, st, pq, start, rec, k, ptype, tabs, block) once per _chunks
-    range of records and yield each (records, 2, width) block."""
+def _run_blocks(c: SimConfig, t: np.ndarray, streams: int, lanes: int, tabs: np.ndarray):
+    """Step streams streams of lanes lanes each from c.x0, seeded from
+    c.seed, lane c of every stream on the c-th (5, 4) table in tabs,
+    recording them only at the steps t (increasing int64): make one kernel
+    advance call per _chunks range of records, on up to one thread per
+    usable core, and yield each (records, 2, streams * lanes) block."""
+    width = streams * lanes
     pq = np.empty((2, width))  # before any per-lane work, so an impossible width fails at once
     pq[0], pq[1] = c.x0.p1, c.x0.q1
-    st = np.empty((streams, 4), dtype=np.uint64)
-    _load_kernel().seed_runs(streams, c.seed, st)
+    st = np.empty((streams, 4), dtype=np.uint64)  # seeded by the call from step 0
+    advance, cores = _load_kernel().advance, _usable_cores()
     for i, j in _chunks(len(t), 2 * width):
         block = np.empty((j - i, 2, width))
         start = int(t[i - 1]) if i else 0
-        step(width, st, pq, start, t[i:j], j - i, c.spec.model is Model.P, tabs, block)
+        advance(streams, lanes, c.seed, st, pq, start, t[i:j], j - i, c.spec.model is Model.P,
+                tabs, block, cores)
         yield block
 
 
@@ -238,8 +235,7 @@ def _simulate(c: SimConfig, t: np.ndarray, runs: int):
     """Yield the states of all runs of c at the record steps t, one block of
     shape (records, 2, runs) at a time.  Run k uses seed c.seed XOR k."""
     _check_count("runs", runs, 1)
-    advance, cores = _load_kernel().advance, _usable_cores()
-    yield from _run_blocks(c, t, runs, runs, lambda *args: advance(*args, cores), _table(c))
+    yield from _run_blocks(c, t, runs, 1, _table(c))
 
 
 def _usable_cores() -> int:

@@ -1,32 +1,16 @@
 """The compiled kernel library: the Monte Carlo step loop, the RK4 loop and
 the CSV row formatter.
 
-``harness`` drives ``seed_runs``, ``advance`` and ``advance_cells``,
-``dynamics`` drives ``rk4`` and ``cli`` writes every CSV through
-``format_rows``.  One scalar loop, ``lockstep``, steps lanes in lockstep on
-one stream, each lane on its own table; its comment gives the table layout
-and the same-bytes contract.  ``advance`` steps runs that each own a stream
-through it one run at a time (or eight in vector lanes, below), and
-``advance_cells`` steps an error table's cells, which share one stream,
-through it together, so each step's draws are made once for all of them.
-The library is built from ``_KERNEL_C`` by the system's C compiler on first
-use (gcc or clang: the generator and the formatter need ``unsigned
-__int128``) and cached; without one, _load_kernel raises OSError, so every
-command that simulates or writes CSV needs the compiler.
-
-``advance`` takes a thread count.  It starts min(threads, groups) - 1
-POSIX threads, where a group is eight runs, and each of them and the
-caller's thread take the next group from one atomic counter until none is
-left; all are joined before it returns, and where a thread cannot be
-started the others do its share.  A run's bytes do not depend on the thread
-that steps it.  On x86-64 a group is stepped in the eight 64-bit lanes of
-AVX-512 vectors when the CPU has avx512f and avx512dq, asked at run time on
-every call; the vector functions are compiled for those extensions by a
-function attribute, so the compile command and the cache key do not
-change.  ``lockstep`` steps the runs of a last group of fewer than eight,
-every group on a CPU without those extensions, and every run on other
-architectures, one run at a time, with the same bytes.  There is no option
-to choose between them.
+``harness`` drives ``advance``, ``dynamics`` drives ``rk4`` and ``cli``
+writes every CSV through ``format_rows``.  ``advance`` is the one stepping
+entry point: its comment in ``_KERNEL_C`` states the stream, lane and
+thread rules, and ``lockstep``'s the table layout and the same-bytes
+contract.  The library is built from ``_KERNEL_C`` by the system's C
+compiler on first use (gcc or clang: the generator and the formatter need
+``unsigned __int128``) and cached; without one, _load_kernel raises
+OSError, so every command that simulates or writes CSV needs the compiler.
+On x86-64 the AVX-512 functions are compiled for avx512f and avx512dq by a
+function attribute, so the compile command and the cache key do not change.
 """
 
 from __future__ import annotations
@@ -59,11 +43,10 @@ def _chunks(n: int, width: int):
 
 
 _KERNEL_C = r"""
-/* Nothing in this file calls an exported function (seed_runs, advance,
-   advance_cells, rk4, format_rows): such a call binds by name when the
-   library loads, and may reach another library's symbol, as glibc exports
-   a legacy advance(3) from <regexp.h>.  advance's threads run static
-   functions alone. */
+/* Nothing in this file calls an exported function (advance, rk4,
+   format_rows): such a call binds by name when the library loads, and may
+   reach another library's symbol, as glibc exports a legacy advance(3)
+   from <regexp.h>.  advance's threads run static functions alone. */
 #include <math.h>
 #include <pthread.h>
 #include <stdint.h>
@@ -88,37 +71,35 @@ static uint32_t mix(uint32_t x, uint32_t y)
     return v ^ v >> 16;
 }
 
-/* Fill st[4r..4r+4) with the state and increment, each as low then high
-   64-bit word, of np.random.PCG64(seed ^ r) once seeded: numpy's
-   SeedSequence with pool size 4 on the entropy seed ^ r (two 32-bit words;
-   numpy omits a zero high word, which hashes as the zero padding does),
-   generate_state(4, uint64), then pcg_setseq_128_srandom_r with words 0, 1
-   as the state's (high, low) and words 2, 3 as the sequence's. */
-void seed_runs(int64_t runs, uint64_t seed, uint64_t *st)
+/* Set g[0..4) to the state and increment, each as low then high 64-bit
+   word, of np.random.PCG64(e) once seeded: numpy's SeedSequence with pool
+   size 4 on the entropy e (two 32-bit words; numpy omits a zero high word,
+   which hashes as the zero padding does), generate_state(4, uint64), then
+   pcg_setseq_128_srandom_r with words 0, 1 as the state's (high, low) and
+   words 2, 3 as the sequence's. */
+static void seed_stream(uint64_t e, uint64_t *g)
 {
-    for (int64_t r = 0; r < runs; r++) {
-        uint64_t e = seed ^ (uint64_t)r, w[4] = {0};
-        uint32_t h = 0x43b0d7e5u, pool[4] = {(uint32_t)e, (uint32_t)(e >> 32), 0, 0};
-        for (int i = 0; i < 4; i++)
-            pool[i] = hashmix(pool[i], &h);
-        for (int i = 0; i < 4; i++)
-            for (int j = 0; j < 4; j++)
-                if (i != j)
-                    pool[j] = mix(pool[j], hashmix(pool[i], &h));
-        h = 0x8b51f9ddu;
-        for (int i = 0; i < 8; i++) {
-            uint32_t v = pool[i % 4] ^ h;
-            h *= 0x58f38dedu;
-            v *= h;
-            w[i / 2] |= (uint64_t)(v ^ v >> 16) << 32 * (i % 2);
-        }
-        u128 inc = ((u128)w[2] << 64 | w[3]) << 1 | 1;
-        u128 s = (inc + ((u128)w[0] << 64 | w[1])) * MULT + inc;
-        st[4 * r] = (uint64_t)s;
-        st[4 * r + 1] = (uint64_t)(s >> 64);
-        st[4 * r + 2] = (uint64_t)inc;
-        st[4 * r + 3] = (uint64_t)(inc >> 64);
+    uint64_t w[4] = {0};
+    uint32_t h = 0x43b0d7e5u, pool[4] = {(uint32_t)e, (uint32_t)(e >> 32), 0, 0};
+    for (int i = 0; i < 4; i++)
+        pool[i] = hashmix(pool[i], &h);
+    for (int i = 0; i < 4; i++)
+        for (int j = 0; j < 4; j++)
+            if (i != j)
+                pool[j] = mix(pool[j], hashmix(pool[i], &h));
+    h = 0x8b51f9ddu;
+    for (int i = 0; i < 8; i++) {
+        uint32_t v = pool[i % 4] ^ h;
+        h *= 0x58f38dedu;
+        v *= h;
+        w[i / 2] |= (uint64_t)(v ^ v >> 16) << 32 * (i % 2);
     }
+    u128 inc = ((u128)w[2] << 64 | w[3]) << 1 | 1;
+    u128 s = (inc + ((u128)w[0] << 64 | w[1])) * MULT + inc;
+    g[0] = (uint64_t)s;
+    g[1] = (uint64_t)(s >> 64);
+    g[2] = (uint64_t)inc;
+    g[3] = (uint64_t)(inc >> 64);
 }
 
 /* numpy's PCG64 next_double: one LCG step, the XSL-RR output of the new
@@ -132,14 +113,14 @@ static inline double next_double(u128 *s, u128 inc)
     return (x >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/* One advance call, as advance's arguments, and the groups of eight runs
-   its threads share: next is the first run no thread has taken. */
+/* One advance call, as advance's arguments: next is the first stream no
+   thread has taken. */
 typedef struct {
-    int64_t runs, t, k, next;
-    uint64_t *st;
+    int64_t streams, lanes, t, k, next;
+    uint64_t seed, *st;
     double *pq, *out;
     const int64_t *rec;
-    const double *tab;
+    const double *tabs;
     int ptype, avx512;
 } work;
 
@@ -190,7 +171,8 @@ static inline AVX512 __m512d out8(u128x8 s)
                          _mm512_set1_pd(1.0 / 9007199254740992.0));
 }
 
-/* lockstep's steps for the eight runs from r of w, run r + i in lane i,
+/* lockstep's steps for the eight one-lane streams from r of w, stream
+   r + i in vector lane i,
    comparisons and table reads as masks and lane permutes.  A step's draws
    do not wait on each other: the LCG's j-th state from s is M^j s + c_j,
    with c_j = inc (1 + M + ... + M^(j-1)), so u_j is
@@ -198,8 +180,8 @@ static inline AVX512 __m512d out8(u128x8 s)
    them is the next s. */
 static AVX512 void advance8(const work *w, int64_t r)
 {
-    const int64_t runs = w->runs, k = w->k, *rec = w->rec;
-    const double *tab = w->tab;
+    const int64_t runs = w->streams, k = w->k, *rec = w->rec; /* one lane a stream */
+    const double *tab = w->tabs;
     double *pq = w->pq, *out = w->out;
     const int ptype = w->ptype;
     const __m512i words = _mm512_setr_epi64(0, 4, 8, 12, 16, 20, 24, 28);
@@ -257,7 +239,7 @@ static AVX512 void advance8(const work *w, int64_t r)
 #endif
 
 /* The one scalar step loop: n lanes in lockstep on the PCG64 stream at g.
-   Lane c steps p[c], q[c] on the (5, 4) table at tabs + ts*c, harness._table's
+   Lane c steps p[c], q[c] on the (5, 4) table at tabs + 20c, harness._table's
    rows feedback A, feedback B, target A and target B at the joint action
    x = 2*(u0 >= p) + (u1 >= q), and (0, theta_a, 0, theta_b) for the P-model
    reward, read at u < entry: no branch to mispredict.  Its state after rec[j]
@@ -266,7 +248,7 @@ static AVX512 void advance8(const work *w, int64_t r)
    order, so a lane's bytes are those it gets alone, and advance8's lanes'. */
 static inline __attribute__((always_inline)) void
 lockstep(int64_t n, uint64_t *g, double *p, double *q, int64_t t, const int64_t *rec,
-         int64_t k, int ptype, const double *tabs, int64_t ts, double *out, int64_t ow)
+         int64_t k, int ptype, const double *tabs, double *out, int64_t ow)
 {
     u128 s = (u128)g[1] << 64 | g[0], inc = (u128)g[3] << 64 | g[2];
     for (int64_t j = 0; j < k; j++) {
@@ -274,7 +256,7 @@ lockstep(int64_t n, uint64_t *g, double *p, double *q, int64_t t, const int64_t 
             double u0 = next_double(&s, inc), u1 = next_double(&s, inc);
             double u2 = ptype ? next_double(&s, inc) : 0.0, u3 = ptype ? next_double(&s, inc) : 0.0;
             for (int64_t c = 0; c < n; c++) {
-                const double *fa = tabs + ts * c, *fb = fa + 4, *ta = fa + 8, *tb = fa + 12;
+                const double *fa = tabs + 20 * c, *fb = fa + 4, *ta = fa + 8, *tb = fa + 12;
                 const double *ga = fa + 16, *gb = fa + 18;
                 int x = (u0 >= p[c] ? 2 : 0) + (u1 >= q[c]);
                 double f = fa[x], h = fb[x];
@@ -295,61 +277,81 @@ lockstep(int64_t n, uint64_t *g, double *p, double *q, int64_t t, const int64_t 
     g[1] = (uint64_t)(s >> 64);
 }
 
-/* Take the next eight runs of w until none is left: advance8 steps them
-   where the CPU has avx512f and avx512dq, and lockstep a group of fewer,
-   or every group elsewhere, one run at a time with p, q in locals.  A
-   group touches only its own runs' state and output slots. */
-static void *take_groups(void *arg)
+/* Seed and step the next unit of w until none is left, by advance's rules.
+   A one-lane stream's p, q go through locals, which stay in registers. */
+static void *take_units(void *arg)
 {
     work *w = arg;
-    for (int64_t r; (r = __atomic_fetch_add(&w->next, 8, __ATOMIC_RELAXED)) < w->runs;) {
-        int64_t r1 = r + 8 < w->runs ? r + 8 : w->runs;
+    const int64_t n = w->lanes, per = n == 1 ? 8 : 1, width = w->streams * n;
+    for (int64_t s; (s = __atomic_fetch_add(&w->next, per, __ATOMIC_RELAXED)) < w->streams;) {
+        int64_t s1 = s + per < w->streams ? s + per : w->streams;
+        if (!w->t)
+            for (int64_t r = s; r < s1; r++)
+                seed_stream(w->seed ^ (uint64_t)r, w->st + 4 * r);
 #if defined(__x86_64__)
-        if (w->avx512 && r1 - r == 8) {
-            advance8(w, r);
+        if (w->avx512 && s1 - s == 8) {
+            advance8(w, s);
             continue;
         }
 #endif
-        for (; r < r1; r++) {
-            double p = w->pq[r], q = w->pq[w->runs + r];
-            lockstep(1, w->st + 4 * r, &p, &q, w->t, w->rec, w->k, w->ptype, w->tab, 0,
-                     w->out + r, w->runs);
-            w->pq[r] = p;
-            w->pq[w->runs + r] = q;
+        for (; s < s1; s++) {
+            uint64_t *g = w->st + 4 * s;
+            double *p = w->pq + n * s, *q = p + width, *out = w->out + n * s;
+            if (n > 1) {
+                lockstep(n, g, p, q, w->t, w->rec, w->k, w->ptype, w->tabs, out, width);
+                continue;
+            }
+            double p1 = *p, q1 = *q;
+            lockstep(1, g, &p1, &q1, w->t, w->rec, w->k, w->ptype, w->tabs, out, width);
+            *p = p1;
+            *q = q1;
         }
     }
     return NULL;
 }
 
-/* Step the runs on their own streams in st, all on tab, on this thread and
-   min(threads, groups) - 1 more, each taking the next group of eight runs
-   as it gets to them; all of them are joined before this returns.  A
-   thread that cannot be started leaves its groups to the others. */
-void advance(int64_t runs, uint64_t *st, double *pq, int64_t t, const int64_t *rec,
-             int64_t k, int ptype, const double *tab, double *out, int64_t threads)
+/* The one stepping entry point.  It steps streams PCG64 streams of lanes
+   lanes each, streams * lanes = width lanes in all.
+   - Lanes.  Stream s steps the lanes [s * lanes, (s + 1) * lanes), lane i
+     from p = pq[i], q = pq[width + i], on lockstep's rules: lane c of every
+     stream reads the (5, 4) table at tabs + 20c.  Its state after rec[j]
+     steps, for j < k, goes to out[2j * width + i] and out[(2j + 1) * width
+     + i], and pq holds its last state on return.
+   - Streams.  st holds each stream's (state, inc) as four 64-bit words.  A
+     call from step t = 0 first sets stream s to np.random.PCG64(seed ^ s)
+     as seeded (seed_stream); a call from t > 0 carries on from st.  No
+     draw comes before the seeding, so seeding twice at step 0 gives the
+     same state.
+   - Threads.  This thread and min(threads, units) - 1 POSIX threads take
+     units (take_units) from one atomic counter until none is left: eight
+     one-lane streams, or one stream of several lanes.  All of them are
+     joined before this returns, and a thread that cannot be started leaves
+     its units to the others.  A unit touches only its own streams and
+     lanes, so the bytes do not depend on the thread count or on which
+     thread steps a unit.
+   - Loops.  A unit of eight one-lane streams goes through the AVX-512
+     lanes of advance8 where the CPU has avx512f and avx512dq, asked at run
+     time on every call; every other stream through lockstep, with the same
+     bytes.  There is no option to choose between them. */
+void advance(int64_t streams, int64_t lanes, uint64_t seed, uint64_t *st, double *pq, int64_t t,
+             const int64_t *rec, int64_t k, int ptype, const double *tabs, double *out,
+             int64_t threads)
 {
-    work w = {runs, t, k, 0, st, pq, out, rec, tab, ptype, 0};
+    work w = {streams, lanes, t, k, 0, seed, st, pq, out, rec, tabs, ptype, 0};
 #if defined(__x86_64__)
     __builtin_cpu_init();
     w.avx512 = __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq");
 #endif
-    int64_t groups = (runs + 7) / 8, n = 0;
-    if (threads > groups)
-        threads = groups;
+    int64_t units = lanes == 1 ? (streams + 7) / 8 : streams, n = 0;
+    if (threads > units)
+        threads = units;
     pthread_t *workers = threads > 1 ? malloc((size_t)(threads - 1) * sizeof *workers) : NULL;
-    while (workers && n < threads - 1 && !pthread_create(workers + n, NULL, take_groups, &w))
+    while (workers && n < threads - 1 && !pthread_create(workers + n, NULL, take_units, &w))
         n++;
-    take_groups(&w);
+    take_units(&w);
     while (n)
         pthread_join(workers[--n], NULL);
     free(workers);
-}
-
-/* Step an error table's cells, one table each, on the one stream in st. */
-void advance_cells(int64_t cells, uint64_t *st, double *pq, int64_t t, const int64_t *rec,
-                   int64_t k, int ptype, const double *tabs, double *out)
-{
-    lockstep(cells, st, pq, pq + cells, t, rec, k, ptype, tabs, 20, out, cells);
 }
 
 /* The drift W(p, q) into w[0], w[1], with the operations of
@@ -507,8 +509,7 @@ _CC = ("cc", "-O2", "-fPIC", "-shared", "-pthread", "-ffp-contract=off")
 
 @functools.cache
 def _load_kernel():
-    """The kernel library (seed_runs, advance, advance_cells, rk4 and
-    format_rows).  Cached as $XDG_CACHE_HOME/barrier_la/kernel-<sha256 of
+    """The kernel library (advance, rk4 and format_rows).  Cached as $XDG_CACHE_HOME/barrier_la/kernel-<sha256 of
     compile command and source>.so (~/.cache when the variable is unset,
     empty or relative, as the XDG Base Directory spec asks); later
     processes only load it.  Raises OSError naming the compile command, the
@@ -545,12 +546,10 @@ def _load_kernel():
         np.ctypeslib.ndpointer(d, flags="C_CONTIGUOUS")
         for d in (np.float64, np.int64, np.uint64, np.uint8)
     )
-    kernel.seed_runs.argtypes = [i64, ctypes.c_uint64, u8]
-    kernel.advance.argtypes = [i64, u8, f8, i64, i8, i64, i32, f8, f8, i64]
-    kernel.advance_cells.argtypes = [i64, u8, f8, i64, i8, i64, i32, f8, f8]
+    kernel.advance.argtypes = [i64, i64, ctypes.c_uint64, u8, f8, i64, i8, i64, i32, f8, f8, i64]
     kernel.rk4.argtypes = [f8, i64, f8, i8]
     kernel.format_rows.argtypes = [i64, i64, f8, b1, i64]
-    kernel.seed_runs.restype = kernel.advance.restype = kernel.advance_cells.restype = None
+    kernel.advance.restype = None
     kernel.rk4.restype = i32
     kernel.format_rows.restype = i64
     return kernel

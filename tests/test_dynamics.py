@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -290,8 +291,33 @@ class TestIntegrate:
         assert np.all(np.diff(traj.t) > 0)
         assert traj.x.min() >= 0.0 and traj.x.max() <= 1.0
 
+    def test_a_path_no_array_can_hold_raises_before_the_kernel_loads(self, case1, no_compiler):
+        """ode-trajectory --ode-step 1e-300 --t-max 1 asks for 1e300 steps.
+        integrate raises ValueError at once, with no compiler to load the
+        kernel, where the path's 16 * (steps + 1) bytes exceed sys.maxsize;
+        a step count just below that bound gets as far as loading the
+        kernel.  Nothing is allocated for the path."""
+        x0, bound = JointState(0.5, 0.5), (sys.maxsize + 1) // 16
+        for step, t_max in ((1e-300, 1.0), (1.0, float(bound))):
+            with pytest.raises(ValueError, match="no float64 array holds the path"):
+                integrate(case1, x0, 0.99, step, t_max)
+        with pytest.raises(OSError, match="cannot build or load"):
+            integrate(case1, x0, 0.99, 1.0, float(bound - 64))
+
 
 class TestFixedPoints:
+    @pytest.mark.xfail(strict=True, reason=(
+        "D24: just past a saddle-node the resultant's complex pair 0.0703 +- 1e-6i lies "
+        "within ROOT_SLACK, and Newton stops at |W| = 2.5e-13, so a ghost Stable point "
+        "at (0.0703, 0.9226) is reported beside the real one"))
+    def test_no_ghost_point_just_past_a_saddle_node(self):
+        rng = np.random.default_rng(12345)
+        spec = [random_game(rng) for _ in range(35)][34]
+        (fp,) = fixed_points(spec, 0.9924164086456235)
+        assert fp.stability is Stability.STABLE
+        assert fp.x.p1 == pytest.approx(0.991, abs=1e-3)
+        assert fp.x.q1 == pytest.approx(0.0217, abs=1e-4)
+
     def test_case1_single_stable_interior_point(self, case1):
         pts = fixed_points(case1, 0.99)
         assert len(pts) == 1

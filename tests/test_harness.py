@@ -60,8 +60,9 @@ def sim_configs(draw, model):
 
 @contextlib.contextmanager
 def usable_cores(n):
-    """_simulate sees n usable cores, so advance shares every block between
-    min(n, groups of eight runs) threads."""
+    """_run_blocks sees n usable cores, so advance shares every block between
+    min(n, its units) threads: groups of eight one-lane streams, or streams
+    of several lanes."""
     with mock.patch.object(os, "sched_getaffinity", return_value=set(range(n))):
         yield
 
@@ -186,7 +187,7 @@ class TestRunEnsemble:
     @pytest.mark.parametrize("model", [Model.P, Model.S])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), runs=st.integers(1, 24), budget=st.integers(2, 400))
-    def test_blocks_match_reference_loop_at_any_slice_count(self, model, data, runs, budget):
+    def test_blocks_match_reference_loop_at_any_thread_count(self, model, data, runs, budget):
         """On any config, any _BLOCK_BUDGET (so across block boundaries) and
         1, 2, 3 or 7 usable cores (7 threads are more than the at most three
         groups of eight runs), _simulate yields blocks of at most the
@@ -271,15 +272,20 @@ class TestRunEnsemble:
         0x9E3779B97F4A7C15, 0x00000001DEADBEEF, 0xC2B2AE3D27D4EB4F,
     ])
     def test_kernel_seeds_each_run_as_numpy_pcg64(self, seed):
-        """seed_runs, the kernel's port of SeedSequence and PCG64 seeding,
-        starts run k in the (state, inc) of np.random.PCG64(seed ^ k), with
-        seed ^ k as one 32-bit word (0 included) or two."""
-        runs = 70
-        st = np.empty((runs, 4), dtype=np.uint64)
-        _load_kernel().seed_runs(runs, seed, st)
-        got = [(s0 | s1 << 64, i0 | i1 << 64) for s0, s1, i0, i1 in st.tolist()]
-        want = [np.random.PCG64(seed ^ k).state["state"] for k in range(runs)]
-        assert got == [(w["state"], w["inc"]) for w in want]
+        """An advance call from step 0 that takes no step leaves stream k in
+        the (state, inc) of np.random.PCG64(seed ^ k), the kernel's port of
+        SeedSequence and PCG64 seeding, with seed ^ k as one 32-bit word (0
+        included) or two, whatever st held before and however many lanes a
+        stream has, on two threads."""
+        streams, tabs, none = 70, np.zeros((3, 5, 4)), np.empty(0, np.int64)
+        want = [np.random.PCG64(seed ^ k).state["state"] for k in range(streams)]
+        for lanes in (1, 3):
+            st = np.full((streams, 4), 0xA5A5A5A5A5A5A5A5, dtype=np.uint64)
+            pq = np.full((2, streams * lanes), 0.5)
+            _load_kernel().advance(streams, lanes, seed, st, pq, 0, none, 0, 1, tabs, np.empty(0), 2)
+            got = [(s0 | s1 << 64, i0 | i1 << 64) for s0, s1, i0, i1 in st.tolist()]
+            assert got == [(w["state"], w["inc"]) for w in want]
+            assert (pq == 0.5).all()
 
     def test_case2_mean_settles_just_inside_the_barriers(self, case2):
         # With a dominant strategy the ensemble parks next to the barrier
@@ -298,9 +304,6 @@ class ThreadKernel:
 
     def __init__(self):
         self.threads, self.tasks = [], []  # per call: (before, most seen, after)
-
-    def seed_runs(self, *args):
-        _load_kernel().seed_runs(*args)
 
     def advance(self, *args):
         self.threads.append(args[-1])
@@ -333,7 +336,7 @@ class ThreadKernel:
         self.tasks.append((before, max(seen, default=before), after))
 
 
-class TestRunSlices:
+class TestKernelThreads:
     """advance shares each block's runs, eight at a time, between the
     caller's thread and one kernel thread per further usable core, and joins
     every thread before it returns."""
@@ -361,7 +364,7 @@ class TestRunSlices:
         workers = [seen - before for before, seen, _ in spy.tasks]
         assert all(n <= most for n, most in zip(workers, [1, 1, 3, 3])) and max(workers) >= 1
 
-    def test_without_sched_getaffinity_slices_by_cpu_count(self, case1, monkeypatch):
+    def test_without_sched_getaffinity_threads_by_cpu_count(self, case1, monkeypatch):
         """Where os has no sched_getaffinity (macOS), _simulate gives advance
         os.cpu_count() threads, or one when that is None, and the ensemble
         is the same bytes."""
@@ -469,37 +472,47 @@ class TestErrorTable:
             assert error == min(steady_state_error(run, t) for t in targets)
 
     @pytest.mark.parametrize("model", [Model.P, Model.S])
-    @pytest.mark.parametrize("cells", [1, 2, 3])
-    def test_advance_cells_steps_each_cell_as_a_one_run_advance(self, model, cells):
-        """Kernel level: each cell's full (records, 2) path from
-        advance_cells, and the stream state it leaves, equal bit for bit a
-        one-run advance on that cell's table from the same seed.  The cells
-        differ in theta, p_max (1 among them) and so in their tables, and
-        every call of either stops mid-run."""
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    def test_advance_cells_steps_each_cell_as_a_one_run_advance(self, model, lanes):
+        """Kernel level, the shape of a replicated error table: for 1 to 3
+        streams of these lanes, on one thread or three, each lane's full
+        (records, 2) path from advance, and the state its stream leaves,
+        equal bit for bit a one-lane advance on its stream's seed and its
+        lane's table.  The lanes differ in theta, p_max (1 among them) and
+        so in their tables, and every call stops mid-run."""
         real = _load_kernel()
         spec = game_of((1.0, 0.0, 0.25, 1.0), (0.0, 1.0, 0.6, 0.0), model)
         cfgs = [LearnerConfig(0.05, 1.0), LearnerConfig(0.2, 0.95), LearnerConfig(0.01, 0.9)]
         runs = [SimConfig(spec, cfg, cfg, JointState(0.5, 0.3), 300, 0x9E3779B97F4A7C15, 7)
-                for cfg in cfgs[:cells]]
+                for cfg in cfgs[:lanes]]
         t = _record_steps(runs[0])
 
-        def path(step, width, tabs):
-            streams = []
+        def path(c, streams, lanes, tabs, cores=1):
+            states = []
 
-            def spy(*args):
-                streams.append(args[1])
-                step(*args)
+            class Spy:
+                def advance(self, *args):
+                    states.append(args[3])
+                    real.advance(*args)
 
-            with mock.patch.object(kernel, "_BLOCK_BUDGET", 2 * cells * 5):
-                blocks = list(harness._run_blocks(runs[0], t, 1, width, spy, tabs))
+            with usable_cores(cores), mock.patch.object(harness, "_load_kernel", Spy), \
+                    mock.patch.object(kernel, "_BLOCK_BUDGET", 2 * streams * lanes * 5):
+                blocks = list(harness._run_blocks(c, t, streams, lanes, tabs))
             assert len(blocks) > 1
-            return np.concatenate(blocks), streams[-1].tobytes()
+            return np.concatenate(blocks), states[-1]
 
-        x, stream = path(real.advance_cells, cells, np.stack([harness._table(c) for c in runs]))
-        for c, run in enumerate(runs):
-            one, one_stream = path(lambda *a: real.advance(*a, 1), 1, harness._table(run))
-            assert np.ascontiguousarray(x[:, :, c]).tobytes() == one[:, :, 0].tobytes()
-            assert stream == one_stream
+        tabs = np.stack([harness._table(c) for c in runs])
+        for streams in (1, 2, 3):
+            x, st = path(runs[0], streams, lanes, tabs)
+            x3, st3 = path(runs[0], streams, lanes, tabs, cores=3)
+            assert x3.tobytes() == x.tobytes() and st3.tobytes() == st.tobytes()
+            for s in range(streams):
+                for c, run in enumerate(runs):
+                    one, one_st = path(dataclasses.replace(run, seed=run.seed ^ s), 1, 1,
+                                       harness._table(run))
+                    lane = np.ascontiguousarray(x[:, :, s * lanes + c])
+                    assert lane.tobytes() == one[:, :, 0].tobytes()
+                    assert st[s].tobytes() == one_st.tobytes()
 
     def test_default_target_of_a_mixed_only_game_is_its_mixed_equilibrium(self, case1):
         args = ([0.99, 0.95], [0.05], 2000, 9)
@@ -521,16 +534,14 @@ class TestErrorTable:
         real, calls = _load_kernel(), []
 
         class Spy:
-            seed_runs = real.seed_runs
-
-            def advance_cells(self, cells, st, pq, t, rec, k, *rest):
-                calls.append((cells, t, rec[:k].tolist()))
-                real.advance_cells(cells, st, pq, t, rec, k, *rest)
+            def advance(self, streams, lanes, seed, st, pq, t, rec, k, *rest):
+                calls.append(((streams, lanes), t, rec[:k].tolist()))
+                real.advance(streams, lanes, seed, st, pq, t, rec, k, *rest)
 
         monkeypatch.setattr(harness, "_load_kernel", Spy)
         monkeypatch.setattr(kernel, "_BLOCK_BUDGET", 4)  # one record a call
         error_table(case3, None, [0.99, 0.95], [0.2], steps=1000, seed=3, record_stride=50)
-        assert {cells for cells, _, _ in calls} == {2}
+        assert {shape for shape, _, _ in calls} == {(1, 2)}  # one stream of two lanes
         recorded = [step for _, _, rec in calls for step in rec]
         assert recorded == [900, 950, 1000]
         assert [t for _, t, _ in calls] == [0, *(rec[-1] for _, _, rec in calls[:-1])]
@@ -618,22 +629,17 @@ class TestBlockBudget:
     def test_one_budget_bounds_every_kernel_call(self, case1, tmp_path):
         """Patched at 2 and 3 (below one record of advance, one RK4 step and
         one CSV row) and at 50, the budget bounds the values of each call of
-        advance (through _simulate), advance_cells (through error_table), rk4
-        (through integrate) and format_rows (through cli._write_csv) by
-        max(budget, width), one item's values, plus rk4's start row, and
-        every output is the unpatched one, byte for byte."""
+        advance (through _simulate, 9 streams of one lane, and through
+        error_table, one stream of 4), rk4 (through integrate) and
+        format_rows (through cli._write_csv) by max(budget, width), one
+        item's values, plus rk4's start row, and every output is the
+        unpatched one, byte for byte."""
         real, calls = _load_kernel(), []  # (function, values, item width)
 
         class Spy:
-            seed_runs = real.seed_runs
-
-            def advance(self, runs, st, pq, t, rec, k, ptype, tab, out, threads):
-                calls.append(("advance", out.size, 2 * runs))
-                real.advance(runs, st, pq, t, rec, k, ptype, tab, out, threads)
-
-            def advance_cells(self, cells, *args):
-                calls.append(("advance_cells", args[-1].size, 2 * cells))
-                real.advance_cells(cells, *args)
+            def advance(self, streams, lanes, *args):
+                calls.append((f"advance {streams}x{lanes}", args[-2].size, 2 * streams * lanes))
+                real.advance(streams, lanes, *args)
 
             def rk4(self, tab, n, x, k):
                 calls.append(("rk4", x.size - 2, 2))
@@ -661,7 +667,7 @@ class TestBlockBudget:
                 with mock.patch.object(kernel, "_BLOCK_BUDGET", budget):
                     assert outputs() == want
                 assert {name for name, _, _ in calls} == {
-                    "advance", "advance_cells", "rk4", "format_rows"}
+                    "advance 9x1", "advance 1x4", "rk4", "format_rows"}
                 assert all(size <= max(budget, width) for _, size, width in calls)
                 names = [name for name, _, _ in calls]
                 assert all(names.count(name) > 1 for name in names)  # every output is cut
@@ -726,7 +732,7 @@ class TestKernelCache:
         library's symbol of the same name, as glibc exports advance(3)."""
         code = re.sub(r"/\*.*?\*/", "", kernel._KERNEL_C, flags=re.S)
         exported = re.findall(r"^(?!static)[a-z_0-9]+ \**(\w+)\(", code, flags=re.M)
-        assert sorted(exported) == ["advance", "advance_cells", "format_rows", "rk4", "seed_runs"]
+        assert sorted(exported) == ["advance", "format_rows", "rk4"]
         for name in exported:
             assert len(re.findall(rf"\b{name}\s*\(", code)) == 1, name
 
