@@ -22,7 +22,6 @@ from .dynamics import (
 from .game import (
     CaseKind,
     DegenerateGame,
-    EquilibriumReport,
     GameSpec,
     JointState,
     Model,
@@ -30,7 +29,6 @@ from .game import (
     PayoffMatrix,
     PRESETS,
     classify,
-    equilibrium_report,
     load_game,
     mixed_equilibrium,
     preset,

@@ -7,7 +7,13 @@ the command's help.  A CSV row is its values joined by commas and ended by
 a line feed, each value exactly Python's "%.17g" of its float64 (so floats
 round-trip); integer columns are converted first, so a step count below
 2^53 prints as "%d" would.  The C kernel's format_rows writes the rows, so
-every CSV command needs the C compiler.
+every CSV command needs the C compiler.  A trajectory's columns are its
+times t, then the columns of its states x.
+
+classify prints case (MixedOnly, SinglePure or TwoPureOneMixed), pure (the
+pure equilibria as corners [p1, q1], [1.0, 1.0] when both play action 1),
+mixed (the interior [p_opt, q_opt], null for SinglePure), and L and L_prime,
+the payoff discriminants (r11+r22)-(r12+r21) and (c11+c22)-(c12+c21).
 
 Exit codes: 0 success; 1 validation error, that is any ValueError
 (DegenerateGame, NotInSimplex and NotCase3 among them), OSError (an
@@ -26,8 +32,8 @@ import sys
 import numpy as np
 
 from . import dynamics, game, harness
-from .dynamics import StepTooLarge
-from .game import GameSpec, JointState, Model
+from .dynamics import StepTooLarge, Trajectory
+from .game import CaseKind, GameSpec, JointState, Model
 from .kernel import _CSV_VALUE_BYTES, _chunks, _load_kernel
 from .learner import LearnerConfig, _check_p_max
 
@@ -43,6 +49,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         out = args.func(args, _load_spec(args))
+        if isinstance(out, Trajectory):
+            out = out.t, *out.x.T
         if args.csv:
             _write_csv(args.out, args.csv, *out)
         else:
@@ -65,8 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, help_: str, func, *, csv: str = ""):
-        """A subcommand; func returns the columns that --out receives under
-        a given CSV header, else the payload printed as JSON."""
+        """A subcommand; func returns the Trajectory or columns that --out
+        receives under a given CSV header, else the payload printed as JSON."""
         help_ = f"{help_}, CSV {csv}" if csv else help_
         p = sub.add_parser(name, help=help_, description=help_)
         src = p.add_mutually_exclusive_group(required=True)
@@ -162,24 +170,23 @@ def _write_csv(path: str, header: str, *columns: np.ndarray) -> None:
 
 
 def _cmd_classify(args, spec: GameSpec) -> dict:
-    report = game.equilibrium_report(spec)
+    kind = game.classify(spec)
+    R, C = spec.R, spec.C
     return {
-        "case": report.case_kind.value,
-        "pure": [[s.p1, s.q1] for s in report.pure],
-        "mixed": list(report.mixed) if report.mixed else None,
-        "L": report.L,
-        "L_prime": report.L_prime,
+        "case": kind.value,
+        "pure": [[s.p1, s.q1] for s in game.pure_equilibria(spec)],
+        "mixed": None if kind is CaseKind.SINGLE_PURE else list(game.mixed_equilibrium(spec)),
+        "L": (R.r11 + R.r22) - (R.r12 + R.r21),
+        "L_prime": (C.r11 + C.r22) - (C.r12 + C.r21),
     }
 
 
-def _cmd_simulate(args, spec: GameSpec):
-    traj = harness.run_game(_sim_config(args, spec))
-    return traj.t, *traj.x.T
+def _cmd_simulate(args, spec: GameSpec) -> Trajectory:
+    return harness.run_game(_sim_config(args, spec))
 
 
-def _cmd_ensemble(args, spec: GameSpec):
-    traj = harness.run_ensemble(_sim_config(args, spec), args.runs)
-    return traj.t, *traj.x.T
+def _cmd_ensemble(args, spec: GameSpec) -> Trajectory:
+    return harness.run_ensemble(_sim_config(args, spec), args.runs)
 
 
 def _cmd_error_table(args, spec: GameSpec):
@@ -214,10 +221,9 @@ def _cmd_ode_field(args, spec: GameSpec):
     return p1, q1, *dynamics._field(spec, p1, q1, args.pmax)
 
 
-def _cmd_ode_trajectory(args, spec: GameSpec):
+def _cmd_ode_trajectory(args, spec: GameSpec) -> Trajectory:
     x0 = JointState(args.p0, args.q0)
-    traj = dynamics.integrate(spec, x0, args.pmax, step=args.ode_step, t_max=args.t_max)
-    return traj.t, *traj.x.T
+    return dynamics.integrate(spec, x0, args.pmax, step=args.ode_step, t_max=args.t_max)
 
 
 def _cmd_fixed_points(args, spec: GameSpec) -> dict:

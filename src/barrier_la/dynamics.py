@@ -83,7 +83,7 @@ class Trajectory:
     def __post_init__(self) -> None:
         if self.t.ndim != 1 or len(self.t) == 0 or self.x.shape != (len(self.t), 2):
             raise ValueError("trajectory arrays must have shapes (n,) and (n, 2) with n >= 1")
-        if not np.all(np.diff(self.t) > 0):
+        if not np.all(self.t[1:] > self.t[:-1]):
             raise ValueError("trajectory times must be strictly increasing")
         if not (self.x.min() >= -STATE_TOL and self.x.max() <= 1.0 + STATE_TOL):
             raise ValueError("trajectory states must lie in [0, 1]^2")

@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Optional
 
 
 class DegenerateGame(ValueError):
@@ -101,23 +100,6 @@ class CaseKind(str, Enum):
 _CASE_BY_PURE_COUNT = (CaseKind.MIXED_ONLY, CaseKind.SINGLE_PURE, CaseKind.TWO_PURE_ONE_MIXED)
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
-    """Full equilibrium analysis of a game.
-
-    ``pure`` holds pure equilibria as corner joint states, e.g. (1, 1)
-    means both players' first actions.  ``mixed`` is present exactly for
-    the MixedOnly and TwoPureOneMixed cases.  L and L_prime are the payoff
-    discriminants (r11+r22)-(r12+r21) and (c11+c22)-(c12+c21).
-    """
-
-    case_kind: CaseKind
-    pure: tuple[JointState, ...]
-    mixed: Optional[tuple[float, float]]
-    L: float
-    L_prime: float
-
-
 def classify(spec: GameSpec) -> CaseKind:
     """Classify the game by its number of pure equilibria.
 
@@ -168,17 +150,6 @@ def pure_equilibria(spec: GameSpec) -> list[JointState]:
             if ra > ra_alt and cb > cb_alt:
                 out.append(JointState(float(a == 1), float(b == 1)))
     return out
-
-
-def equilibrium_report(spec: GameSpec) -> EquilibriumReport:
-    """Classification plus pure and mixed equilibria in one report."""
-    pure = tuple(pure_equilibria(spec))
-    kind = _CASE_BY_PURE_COUNT[len(pure)]
-    mixed = mixed_equilibrium(spec) if kind is not CaseKind.SINGLE_PURE else None
-    R, C = spec.R, spec.C
-    L = (R.r11 + R.r22) - (R.r12 + R.r21)
-    L_prime = (C.r11 + C.r22) - (C.r12 + C.r21)
-    return EquilibriumReport(kind, pure, mixed, L, L_prime)
 
 
 # Preset games covering the three equilibrium cases.  case1 has a unique

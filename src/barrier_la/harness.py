@@ -143,7 +143,7 @@ def error_table(
     tabs = np.stack([_table(c) for c in cells])
     t = _record_steps(cells[0])
     late = t[-max(1, math.ceil(0.1 * len(t))) :]
-    window = np.concatenate([*_run_blocks(cells[0], late, 1, len(cells), tabs)])
+    window = np.concatenate([*_run_blocks(cells[0], late, 1, tabs)])
     errors = []
     for c in range(len(cells)):
         # the cell's samples C-contiguous, as run_game's are, so that the
@@ -212,13 +212,13 @@ def _table(c: SimConfig) -> np.ndarray:
                     np.float64)
 
 
-def _run_blocks(c: SimConfig, t: np.ndarray, streams: int, lanes: int, tabs: np.ndarray):
-    """Step streams streams of lanes lanes each from c.x0, seeded from
-    c.seed, lane c of every stream on the c-th (5, 4) table in tabs,
-    recording them only at the steps t (increasing int64): make one kernel
-    advance call per _chunks range of records, on up to one thread per
-    usable core, and yield each (records, 2, streams * lanes) block."""
-    width = streams * lanes
+def _run_blocks(c: SimConfig, t: np.ndarray, streams: int, tabs: np.ndarray):
+    """Step streams streams of len(tabs) lanes each from c.x0, seeded from
+    c.seed, lane c of every stream on the (5, 4) table tabs[c], recording
+    them only at the steps t (increasing int64): make one kernel advance
+    call per _chunks range of records, on up to one thread per usable core,
+    and yield each (records, 2, streams * len(tabs)) block."""
+    width = streams * len(tabs)
     pq = np.empty((2, width))  # before any per-lane work, so an impossible width fails at once
     pq[0], pq[1] = c.x0.p1, c.x0.q1
     st = np.empty((streams, 4), dtype=np.uint64)  # seeded by the call from step 0
@@ -226,8 +226,8 @@ def _run_blocks(c: SimConfig, t: np.ndarray, streams: int, lanes: int, tabs: np.
     for i, j in _chunks(len(t), 2 * width):
         block = np.empty((j - i, 2, width))
         start = int(t[i - 1]) if i else 0
-        advance(streams, lanes, c.seed, st, pq, start, t[i:j], j - i, c.spec.model is Model.P,
-                tabs, block, cores)
+        advance(streams, len(tabs), c.seed, st, pq, start, t[i:j], j - i,
+                c.spec.model is Model.P, tabs, block, cores)
         yield block
 
 
@@ -235,7 +235,7 @@ def _simulate(c: SimConfig, t: np.ndarray, runs: int):
     """Yield the states of all runs of c at the record steps t, one block of
     shape (records, 2, runs) at a time.  Run k uses seed c.seed XOR k."""
     _check_count("runs", runs, 1)
-    yield from _run_blocks(c, t, runs, 1, _table(c))
+    yield from _run_blocks(c, t, runs, _table(c)[None])
 
 
 def _usable_cores() -> int:

@@ -11,6 +11,11 @@ from barrier_la import (
 from barrier_la.harness import _load_kernel
 
 
+# A valid interior game whose mixed point sits one ulp from the p = 1 edge.
+NEAR_TIE_R = (0.7200111192047169, 0.13290601045995287, 0.28897610525044326, 0.4831693166218948)
+NEAR_TIE_C = (0.24372164064158708, 0.24372164064158705, 0.3464797884927627, 0.9570840322522522)
+
+
 @pytest.fixture
 def fresh_loader():
     """Forget the loaded kernel before and after the test."""

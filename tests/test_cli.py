@@ -7,18 +7,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from barrier_la import (
-    JointState, cli, dynamics, error_table, harness, integrate, kernel, mixed_equilibrium,
-    run_game,
-    vector_field,
+    CaseKind, DegenerateGame, JointState, cli, dynamics, error_table, harness, integrate, kernel,
+    mixed_equilibrium, run_game, vector_field,
 )
 from barrier_la.cli import _build_parser, main
 from barrier_la.kernel import _CSV_VALUE_BYTES, _load_kernel
 
-from conftest import sim_config
+from conftest import NEAR_TIE_C, NEAR_TIE_R, game_of, sign_case_oracle, sim_config
 
 
 def run_cli(capsys, *argv):
@@ -133,6 +132,47 @@ class TestClassifyCommand:
         assert rc == 0
         p_opt, q_opt = json.loads(out)["mixed"]
         assert 0.0 <= p_opt <= 1.0 and 0.0 <= q_opt <= 1.0
+
+
+class TestEquilibriumReport:
+    """classify's report as _cmd_classify builds it from the game's analysis."""
+
+    def test_case_shapes(self, case1, case2, case3):
+        r1 = cli._cmd_classify(None, case1)
+        assert r1["case"] == CaseKind.MIXED_ONLY and r1["pure"] == [] and r1["mixed"]
+        r2 = cli._cmd_classify(None, case2)
+        assert r2["case"] == CaseKind.SINGLE_PURE and len(r2["pure"]) == 1 and r2["mixed"] is None
+        r3 = cli._cmd_classify(None, case3)
+        assert r3["case"] == CaseKind.TWO_PURE_ONE_MIXED and len(r3["pure"]) == 2 and r3["mixed"]
+
+    def test_discriminants_of_case1(self, case1):
+        report = cli._cmd_classify(None, case1)
+        assert report["L"] == pytest.approx(-0.3)
+        assert report["L_prime"] == pytest.approx(0.45)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    r=st.lists(st.floats(0, 1, allow_nan=False), min_size=4, max_size=4),
+    c=st.lists(st.floats(0, 1, allow_nan=False), min_size=4, max_size=4),
+)
+@example(r=list(NEAR_TIE_R), c=list(NEAR_TIE_C))
+@example(r=[1e-200, 0.0, 0.0, 1e-200], c=[1e-200, 0.0, 0.0, 1e-200])  # gap products underflow
+def test_report_invariants_on_arbitrary_games(r, c):
+    spec = game_of(r, c)
+    want = sign_case_oracle(spec)
+    if want is None:
+        with pytest.raises(DegenerateGame):
+            cli._cmd_classify(None, spec)
+        return
+    report = cli._cmd_classify(None, spec)
+    assert report["case"] == want
+    if want is CaseKind.MIXED_ONLY:
+        assert report["pure"] == [] and report["mixed"] is not None
+    elif want is CaseKind.SINGLE_PURE:
+        assert len(report["pure"]) == 1 and report["mixed"] is None
+    else:
+        assert len(report["pure"]) == 2 and report["mixed"] is not None
 
 
 def subcommands() -> dict[str, argparse.ArgumentParser]:

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from barrier_la import (
     vector_field,
 )
 
-from barrier_la import kernel
+from barrier_la import dynamics, kernel
 from barrier_la.dynamics import STAGE_BOX, _drives, _stability
 from conftest import (
     bisect_root,
@@ -327,6 +328,20 @@ class TestFixedPoints:
         assert fp.x.p1 == pytest.approx(0.65195774, abs=1e-7)
         assert fp.x.q1 == pytest.approx(0.31178326, abs=1e-7)
 
+    def test_a_newton_start_that_leaves_the_box_is_dropped(self, case1, monkeypatch):
+        """Newton from (50, 50) leaves [-1, 2]^2 and fails; fixed_points skips
+        that start and reports what the other starts give."""
+        assert dynamics._newton(case1, (50.0, 50.0), 0.99) is None
+
+        def found():
+            return [(fp.x, fp.drift_norm, fp.jacobian.tolist(), fp.det, fp.trace, fp.stability)
+                    for fp in fixed_points(case1, 0.99)]
+
+        want = found()
+        starts = dynamics._candidates
+        monkeypatch.setattr(dynamics, "_candidates", lambda *a: [(50.0, 50.0), *starts(*a)])
+        assert found() == want
+
     def test_case1_point_approaches_mixed_equilibrium_monotonically(self, case1):
         x_opt = np.array(mixed_equilibrium(case1))
         dists = []
@@ -471,6 +486,17 @@ class TestTrajectoryType:
     def test_rejects_decreasing_times(self):
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 1.0, 0.5]), np.full((3, 2), 0.5))
+
+    def test_order_check_allocates_about_one_byte_per_record(self):
+        n = 1_000_000
+        t, x = np.arange(n), np.full((n, 2), 0.5)
+        tracemalloc.start()
+        try:
+            Trajectory(t, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n
 
     def test_rejects_states_outside_unit_square(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from barrier_la import (
     CaseKind,
@@ -13,7 +11,6 @@ from barrier_la import (
     NotInSimplex,
     PayoffMatrix,
     classify,
-    equilibrium_report,
     mixed_equilibrium,
     preset,
     pure_equilibria,
@@ -25,12 +22,9 @@ from barrier_la import kernel
 from barrier_la.game import from_dict, load_game
 
 from conftest import (
-    drives_from_entries, game_of, indifference_oracle, random_game, sign_case_oracle, sim_config,
+    NEAR_TIE_C, NEAR_TIE_R, drives_from_entries, game_of, indifference_oracle, random_game,
+    sign_case_oracle, sim_config,
 )
-
-# A valid interior game whose mixed point sits one ulp from the p = 1 edge.
-NEAR_TIE_R = (0.7200111192047169, 0.13290601045995287, 0.28897610525044326, 0.4831693166218948)
-NEAR_TIE_C = (0.24372164064158708, 0.24372164064158705, 0.3464797884927627, 0.9570840322522522)
 
 # Entries whose gaps are subnormal or near 1e-200, mixed with plain ones: the
 # products of two such gaps underflow to 0.
@@ -116,6 +110,13 @@ class TestMixedEquilibrium:
         with pytest.raises((NotInSimplex, DegenerateGame)):
             mixed_equilibrium(case2)
 
+    def test_single_pure_game_has_no_mixed_point_in_the_simplex(self):
+        # L and L' are nonzero, so the formulas give a point: q_opt = -4
+        spec = game_of((0.8, 0.6, 0.3, 0.2), (0.7, 0.4, 0.5, 0.1))
+        assert classify(spec) is CaseKind.SINGLE_PURE
+        with pytest.raises(NotInSimplex, match="not in"):
+            mixed_equilibrium(spec)
+
     def test_near_tie_game_stays_in_the_simplex(self):
         # c11 and c12 differ by one ulp; dividing by L' rounded p_opt to
         # 1.0000000000000002
@@ -158,21 +159,6 @@ class TestPureEquilibria:
         spec = game_of((0.4, 0.6, 0.4, 0.5), (0.4, 0.25, 0.3, 0.6))
         with pytest.raises(DegenerateGame):
             pure_equilibria(spec)
-
-
-class TestEquilibriumReport:
-    def test_case_shapes(self, case1, case2, case3):
-        r1 = equilibrium_report(case1)
-        assert r1.case_kind is CaseKind.MIXED_ONLY and r1.pure == () and r1.mixed
-        r2 = equilibrium_report(case2)
-        assert r2.case_kind is CaseKind.SINGLE_PURE and len(r2.pure) == 1 and r2.mixed is None
-        r3 = equilibrium_report(case3)
-        assert r3.case_kind is CaseKind.TWO_PURE_ONE_MIXED and len(r3.pure) == 2 and r3.mixed
-
-    def test_discriminants_of_case1(self, case1):
-        report = equilibrium_report(case1)
-        assert report.L == pytest.approx(-0.3)
-        assert report.L_prime == pytest.approx(0.45)
 
 
 def constant_game(model, r, c):
@@ -260,30 +246,10 @@ class TestJsonInterface:
             with pytest.raises(ValueError, match="invalid game spec"):
                 from_dict({"model": "P", "R": [[entry, 0.6], [0.4, 0.5]], "C": self.CASE1["C"]})
 
+    def test_unknown_preset_names_the_choices(self):
+        with pytest.raises(ValueError, match=r"'nope'; choose from \['case1', 'case2', 'case3'\]"):
+            preset("nope")
+
     def test_presets_are_p_model(self):
         for name in ("case1", "case2", "case3"):
             assert preset(name).model is Model.P
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    r=st.lists(st.floats(0, 1, allow_nan=False), min_size=4, max_size=4),
-    c=st.lists(st.floats(0, 1, allow_nan=False), min_size=4, max_size=4),
-)
-@example(r=list(NEAR_TIE_R), c=list(NEAR_TIE_C))
-@example(r=[1e-200, 0.0, 0.0, 1e-200], c=[1e-200, 0.0, 0.0, 1e-200])  # gap products underflow
-def test_report_invariants_on_arbitrary_games(r, c):
-    spec = game_of(r, c)
-    want = sign_case_oracle(spec)
-    if want is None:
-        with pytest.raises(DegenerateGame):
-            equilibrium_report(spec)
-        return
-    report = equilibrium_report(spec)
-    assert report.case_kind is want
-    if report.case_kind is CaseKind.MIXED_ONLY:
-        assert report.pure == () and report.mixed is not None
-    elif report.case_kind is CaseKind.SINGLE_PURE:
-        assert len(report.pure) == 1 and report.mixed is None
-    else:
-        assert len(report.pure) == 2 and report.mixed is not None

@@ -19,6 +19,7 @@ from barrier_la import (
     Model,
     NotCase3,
     SimConfig,
+    Stability,
     Trajectory,
     basin_split,
     error_table,
@@ -487,7 +488,7 @@ class TestErrorTable:
                 for cfg in cfgs[:lanes]]
         t = _record_steps(runs[0])
 
-        def path(c, streams, lanes, tabs, cores=1):
+        def path(c, streams, tabs, cores=1):
             states = []
 
             class Spy:
@@ -496,20 +497,20 @@ class TestErrorTable:
                     real.advance(*args)
 
             with usable_cores(cores), mock.patch.object(harness, "_load_kernel", Spy), \
-                    mock.patch.object(kernel, "_BLOCK_BUDGET", 2 * streams * lanes * 5):
-                blocks = list(harness._run_blocks(c, t, streams, lanes, tabs))
+                    mock.patch.object(kernel, "_BLOCK_BUDGET", 2 * streams * len(tabs) * 5):
+                blocks = list(harness._run_blocks(c, t, streams, tabs))
             assert len(blocks) > 1
             return np.concatenate(blocks), states[-1]
 
         tabs = np.stack([harness._table(c) for c in runs])
         for streams in (1, 2, 3):
-            x, st = path(runs[0], streams, lanes, tabs)
-            x3, st3 = path(runs[0], streams, lanes, tabs, cores=3)
+            x, st = path(runs[0], streams, tabs)
+            x3, st3 = path(runs[0], streams, tabs, cores=3)
             assert x3.tobytes() == x.tobytes() and st3.tobytes() == st.tobytes()
             for s in range(streams):
                 for c, run in enumerate(runs):
-                    one, one_st = path(dataclasses.replace(run, seed=run.seed ^ s), 1, 1,
-                                       harness._table(run))
+                    one, one_st = path(dataclasses.replace(run, seed=run.seed ^ s), 1,
+                                       harness._table(run)[None])
                     lane = np.ascontiguousarray(x[:, :, s * lanes + c])
                     assert lane.tobytes() == one[:, :, 0].tobytes()
                     assert st[s].tobytes() == one_st.tobytes()
@@ -588,6 +589,15 @@ class TestBasinSplit:
         cfg = LearnerConfig(theta=0.01, p_max=0.99)
         with pytest.raises(NotCase3):
             basin_split(case1, cfg, JointState(0.5, 0.5), runs=2, steps=10, seed=1)
+
+    def test_no_stable_fixed_point_raises(self, case3, monkeypatch):
+        cfg = LearnerConfig(theta=0.01, p_max=0.99)
+        found = harness.fixed_points(case3, 0.99)
+        unstable = [fp for fp in found if fp.stability is not Stability.STABLE]
+        assert unstable  # the mixed point between the basins
+        monkeypatch.setattr(harness, "fixed_points", lambda spec, p_max: unstable)
+        with pytest.raises(NotCase3, match="no stable fixed points"):
+            basin_split(case3, cfg, JointState(0.5, 0.5), runs=2, steps=10, seed=1)
 
     def test_single_run_is_all_or_nothing(self, case3):
         cfg = LearnerConfig(theta=0.1, p_max=0.99)
@@ -696,6 +706,22 @@ class TestKernelCache:
         assert _load_kernel() is not None
         c = sim_config(case1, steps=300, stride=7)
         assert run_game(c).x.tolist() == [[r[1], r[2]] for r in reference_loop(c)]
+
+    def test_a_failing_compiler_raises_with_its_exit_code_and_stderr(
+        self, tmp_path, monkeypatch, fresh_loader
+    ):
+        """A cc that prints to stderr and exits 1 makes loading raise OSError
+        naming both, and leaves neither a kernel nor a temporary file."""
+        bin_dir, cache = tmp_path / "bin", tmp_path / "cache"
+        bin_dir.mkdir()
+        cc = bin_dir / "cc"
+        cc.write_text("#!/bin/sh\ncat > /dev/null\necho 'no such target' >&2\nexit 1\n")
+        cc.chmod(0o755)
+        monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        with pytest.raises(OSError, match="cc exited 1: no such target"):
+            _load_kernel()
+        assert list((cache / "barrier_la").iterdir()) == []
 
     def test_relative_xdg_cache_home_is_ignored(self, tmp_path, monkeypatch, fresh_loader):
         """A relative XDG_CACHE_HOME is not a base directory: the kernel goes
