@@ -44,12 +44,9 @@ class PayoffMatrix:
     r22: float
 
     def __post_init__(self) -> None:
-        for name, v in self.entries().items():
+        for name, v in zip(("11", "12", "21", "22"), (self.r11, self.r12, self.r21, self.r22)):
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"payoff entry {name}={v} outside [0, 1]")
-
-    def entries(self) -> dict[str, float]:
-        return {"11": self.r11, "12": self.r12, "21": self.r21, "22": self.r22}
 
     def entry(self, a: int, b: int) -> float:
         """Payoff entry for row action a and column action b (1-based)."""

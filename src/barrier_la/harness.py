@@ -88,7 +88,7 @@ def run_game(c: SimConfig) -> Trajectory:
     final step.  Bit-reproducible for a given SimConfig.
     """
     t = _record_steps(c)
-    states = np.concatenate([block[:, :, 0] for block in _simulate(c, t, 1)])
+    states = np.concatenate([block[:, :, 0] for block in _run_blocks([c], t, 1)])
     return Trajectory(t, states)
 
 
@@ -100,14 +100,14 @@ def run_ensemble(c: SimConfig, runs: int) -> Trajectory:
     With runs=1 the output equals run_game(c) exactly.
     """
     t = _record_steps(c)
-    mean = np.concatenate([block.mean(axis=-1) for block in _simulate(c, t, runs)])
+    mean = np.concatenate([block.mean(axis=-1) for block in _run_blocks([c], t, runs)])
     return Trajectory(t, mean)
 
 
 def terminal_states(c: SimConfig, runs: int) -> np.ndarray:
     """Final (p1, q1) of each replica, shape (runs, 2).  Records only the
     final step, so c.record_stride does not affect the result."""
-    (block,) = _simulate(c, np.array([c.steps], np.int64), runs)
+    (block,) = _run_blocks([c], np.array([c.steps], np.int64), runs)
     return block[0].T.copy()
 
 
@@ -140,16 +140,10 @@ def error_table(
         targets = pure_equilibria(spec) or [JointState(*mixed_equilibrium(spec))]
     cfgs = [LearnerConfig(theta, p_max) for p_max in p_max_values for theta in theta_values]
     cells = [SimConfig(spec, cfg, cfg, x0, steps, seed, record_stride) for cfg in cfgs]
-    tabs = np.stack([_table(c) for c in cells])
     t = _record_steps(cells[0])
     late = t[-max(1, math.ceil(0.1 * len(t))) :]
-    window = np.concatenate([*_run_blocks(cells[0], late, 1, tabs)])
-    errors = []
-    for c in range(len(cells)):
-        # the cell's samples C-contiguous, as run_game's are, so that the
-        # mean sums them in the same order
-        m = np.ascontiguousarray(window[:, :, c]).mean(axis=0)
-        errors.append(min(math.hypot(m[0] - g.p1, m[1] - g.q1) for g in targets))
+    means = np.concatenate([*_run_blocks(cells, late, 1)]).mean(axis=0)
+    errors = [min(math.hypot(p - g.p1, q - g.q1) for g in targets) for p, q in means.T]
     return np.array([[c.p_max for c in cfgs], [c.theta for c in cfgs], errors], np.float64)
 
 
@@ -181,11 +175,12 @@ def basin_split(
 # Engine internals.  The C kernel (kernel.py), compiled on first use,
 # carries its own port of numpy's SeedSequence and PCG64, and its one entry
 # point, advance, states how it seeds, shares and steps streams of lanes.
-# _run_blocks states only the shape of a simulation: _simulate gives each
-# run its own stream, run k on seed c.seed XOR k, and error_table gives its
-# cells one stream, so they share their draws as they would share a seed in
-# separate runs.  It steps the lanes one (records, 2, width) block at a
-# time, cut by kernel._chunks, recording only the steps its caller reads.
+# _run_blocks states only the shape of a simulation: one lane per config,
+# runs streams of them, stream k on seed XOR k.  An ensemble is runs streams
+# of its one config; an error table is one stream of its cells, so they
+# share their draws as they would share a seed in separate runs.  It steps
+# the lanes one (records, 2, width) block at a time, cut by kernel._chunks,
+# recording only the steps its caller reads.
 # The operations are those of the tests' one-draw-at-a-time reference loop
 # on numpy's own generator; -ffp-contract=off (never -ffast-math) keeps C
 # from fusing a product into the following sum.  Nothing here chooses a
@@ -212,30 +207,26 @@ def _table(c: SimConfig) -> np.ndarray:
                     np.float64)
 
 
-def _run_blocks(c: SimConfig, t: np.ndarray, streams: int, tabs: np.ndarray):
-    """Step streams streams of len(tabs) lanes each from c.x0, seeded from
-    c.seed, lane c of every stream on the (5, 4) table tabs[c], recording
-    them only at the steps t (increasing int64): make one kernel advance
-    call per _chunks range of records, on up to one thread per usable core,
-    and yield each (records, 2, streams * len(tabs)) block."""
-    width = streams * len(tabs)
+def _run_blocks(cells: Sequence[SimConfig], t: np.ndarray, runs: int):
+    """Step runs streams of one lane per config in cells, stream k seeded
+    from cells[0].seed XOR k and every lane from cells[0].x0 under
+    cells[0]'s model, lane c of each stream on the (5, 4) table of cells[c],
+    recording them only at the steps t (increasing int64): make one kernel
+    advance call per _chunks range of records, on up to one thread per
+    usable core, and yield each (records, 2, runs * len(cells)) block."""
+    _check_count("runs", runs, 1)
+    c, width = cells[0], runs * len(cells)
     pq = np.empty((2, width))  # before any per-lane work, so an impossible width fails at once
     pq[0], pq[1] = c.x0.p1, c.x0.q1
-    st = np.empty((streams, 4), dtype=np.uint64)  # seeded by the call from step 0
+    tabs = np.stack([_table(cell) for cell in cells])
+    st = np.empty((runs, 4), dtype=np.uint64)  # seeded by the call from step 0
     advance, cores = _load_kernel().advance, _usable_cores()
     for i, j in _chunks(len(t), 2 * width):
         block = np.empty((j - i, 2, width))
         start = int(t[i - 1]) if i else 0
-        advance(streams, len(tabs), c.seed, st, pq, start, t[i:j], j - i,
+        advance(runs, len(cells), c.seed, st, pq, start, t[i:j], j - i,
                 c.spec.model is Model.P, tabs, block, cores)
         yield block
-
-
-def _simulate(c: SimConfig, t: np.ndarray, runs: int):
-    """Yield the states of all runs of c at the record steps t, one block of
-    shape (records, 2, runs) at a time.  Run k uses seed c.seed XOR k."""
-    _check_count("runs", runs, 1)
-    yield from _run_blocks(c, t, runs, _table(c)[None])
 
 
 def _usable_cores() -> int:

@@ -224,6 +224,12 @@ class TestIntegrate:
         assert traj.x[-1, 0] == pytest.approx(target.x.p1, abs=1e-6)
         assert traj.x[-1, 1] == pytest.approx(target.x.q1, abs=1e-6)
 
+    def test_step_count_forgives_the_rounding_of_t_max_over_step(self, case2):
+        """0.3 / 0.1 is 2.9999999999999996 in float64, so the path's step
+        count must not floor that quotient bare: it takes the third step."""
+        traj = integrate(case2, JointState(0.3, 0.8), 0.99, step=0.1, t_max=0.3)
+        assert traj.t.tolist() == [0.0, 0.1, 0.2, 0.30000000000000004]
+
     def test_huge_step_raises(self, case1):
         with pytest.raises(StepTooLarge):
             integrate(case1, JointState(0.5, 0.5), 0.99, step=1e4, t_max=1e5)
@@ -484,8 +490,9 @@ class TestBarrierContainment:
 
 class TestTrajectoryType:
     def test_rejects_decreasing_times(self):
-        with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 1.0, 0.5]), np.full((3, 2), 0.5))
+        for t in ([0.0, 1.0, 0.5], [0.0, 1.0, 1.0]):  # a repeated time too
+            with pytest.raises(ValueError, match="strictly increasing"):
+                Trajectory(np.array(t), np.full((3, 2), 0.5))
 
     def test_order_check_allocates_about_one_byte_per_record(self):
         n = 1_000_000

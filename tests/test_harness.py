@@ -32,7 +32,7 @@ from barrier_la import (
     terminal_states,
 )
 from barrier_la import cli, dynamics, harness, kernel
-from barrier_la.harness import _load_kernel, _record_steps, _simulate
+from barrier_la.harness import _load_kernel, _record_steps, _run_blocks
 
 from conftest import game_of, reference_loop, sim_config, steady_state_error
 
@@ -191,7 +191,7 @@ class TestRunEnsemble:
     def test_blocks_match_reference_loop_at_any_thread_count(self, model, data, runs, budget):
         """On any config, any _BLOCK_BUDGET (so across block boundaries) and
         1, 2, 3 or 7 usable cores (7 threads are more than the at most three
-        groups of eight runs), _simulate yields blocks of at most the
+        groups of eight runs), _run_blocks yields blocks of at most the
         budget's records, byte-equal to those of one thread, and lane k of
         their concatenation is reference_loop at seed c.seed XOR k, bit for
         bit.  Up to 24 runs, so that up to three threads each fill
@@ -200,7 +200,7 @@ class TestRunEnsemble:
         by_cores = {}
         for cores in (1, 2, 3, 7):
             with usable_cores(cores), mock.patch.object(kernel, "_BLOCK_BUDGET", budget):
-                by_cores[cores] = list(_simulate(c, _record_steps(c), runs))
+                by_cores[cores] = list(_run_blocks([c], _record_steps(c), runs))
         blocks = by_cores[1]
         assert all(len(b) <= max(1, budget // (2 * runs)) for b in blocks)
         for other in by_cores.values():
@@ -218,7 +218,7 @@ class TestRunEnsemble:
         time.  Over run counts below, at and past multiples of eight, shared
         by 1, 2, 3 or 8 threads (more than the five groups of 40 runs), with
         blocks of 40 records or fewer (so every run stops mid-way at least
-        once), lane k of _simulate is run_game at seed XOR k, which runs
+        once), lane k of _run_blocks is run_game at seed XOR k, which runs
         alone and so on lockstep, bit for bit."""
         spec = game_of((1.0, 0.0, 0.25, 1.0), (0.0, 1.0, 0.6, 0.0), model)
         cfg_a, cfg_b = LearnerConfig(theta=0.05, p_max=1.0), LearnerConfig(theta=0.2, p_max=0.95)
@@ -227,7 +227,7 @@ class TestRunEnsemble:
         want = np.stack(lanes, axis=-1)
         for cores in (1, 2, 3, 8):
             with usable_cores(cores), mock.patch.object(kernel, "_BLOCK_BUDGET", 80):
-                blocks = list(_simulate(c, _record_steps(c), runs))
+                blocks = list(_run_blocks([c], _record_steps(c), runs))
             assert len(blocks) > 1
             assert np.concatenate(blocks).tobytes() == want.tobytes()
 
@@ -256,11 +256,11 @@ class TestRunEnsemble:
         budget below one record a kernel call."""
         seen = []
 
-        def spy(c, t, runs):
+        def spy(cells, t, runs):
             seen.append(t.tolist())
-            return _simulate(c, t, runs)
+            return _run_blocks(cells, t, runs)
 
-        monkeypatch.setattr(harness, "_simulate", spy)
+        monkeypatch.setattr(harness, "_run_blocks", spy)
         got = [terminal_states(sim_config(case1, steps=500, stride=s), 9).tobytes()
                for s in (1, 7, 500)]
         monkeypatch.setattr(kernel, "_BLOCK_BUDGET", 2)  # one record per kernel call
@@ -352,11 +352,11 @@ class TestKernelThreads:
         # 32 runs are four groups, and a group's 100 000 steps a block take
         # milliseconds, so the poller can see the threads while they work
         c, t = sim_config(case1, steps=200_000), np.array([100_000, 200_000], np.int64)
-        want = np.concatenate(list(_simulate(c, t, 32))).tobytes()
+        want = np.concatenate(list(_run_blocks([c], t, 32))).tobytes()
         for cores in (2, 64):
             with usable_cores(cores), mock.patch.object(harness, "_load_kernel", lambda: spy), \
                     mock.patch.object(kernel, "_BLOCK_BUDGET", 64):  # one record per block
-                assert np.concatenate(list(_simulate(c, t, 32))).tobytes() == want
+                assert np.concatenate(list(_run_blocks([c], t, 32))).tobytes() == want
         assert spy.threads == [2, 2, 64, 64]
         assert all(after == before for before, _, after in spy.tasks)
         # how many workers the poller sees at one time is up to the
@@ -366,22 +366,22 @@ class TestKernelThreads:
         assert all(n <= most for n, most in zip(workers, [1, 1, 3, 3])) and max(workers) >= 1
 
     def test_without_sched_getaffinity_threads_by_cpu_count(self, case1, monkeypatch):
-        """Where os has no sched_getaffinity (macOS), _simulate gives advance
+        """Where os has no sched_getaffinity (macOS), _run_blocks gives advance
         os.cpu_count() threads, or one when that is None, and the ensemble
         is the same bytes."""
         c = sim_config(case1, steps=300, stride=7)
         t = _record_steps(c)
-        want = [b.tobytes() for b in _simulate(c, t, 9)]
+        want = [b.tobytes() for b in _run_blocks([c], t, 9)]
         monkeypatch.delattr(os, "sched_getaffinity")
         threads = {}
         for count in (3, None):
             spy = ThreadKernel()
             with mock.patch.object(os, "cpu_count", return_value=count), \
                     mock.patch.object(harness, "_load_kernel", lambda: spy):
-                assert [b.tobytes() for b in _simulate(c, t, 9)] == want
+                assert [b.tobytes() for b in _run_blocks([c], t, 9)] == want
             threads[count] = set(spy.threads)
         assert threads == {3: {3}, None: {1}}
-        assert [b.tobytes() for b in _simulate(c, t, 9)] == want  # this machine's cpu_count
+        assert [b.tobytes() for b in _run_blocks([c], t, 9)] == want  # this machine's cpu_count
 
 
 class TestSteadyStateError:
@@ -479,7 +479,7 @@ class TestErrorTable:
         streams of these lanes, on one thread or three, each lane's full
         (records, 2) path from advance, and the state its stream leaves,
         equal bit for bit a one-lane advance on its stream's seed and its
-        lane's table.  The lanes differ in theta, p_max (1 among them) and
+        lane's config.  The lanes differ in theta, p_max (1 among them) and
         so in their tables, and every call stops mid-run."""
         real = _load_kernel()
         spec = game_of((1.0, 0.0, 0.25, 1.0), (0.0, 1.0, 0.6, 0.0), model)
@@ -488,7 +488,7 @@ class TestErrorTable:
                 for cfg in cfgs[:lanes]]
         t = _record_steps(runs[0])
 
-        def path(c, streams, tabs, cores=1):
+        def path(cells, streams, cores=1):
             states = []
 
             class Spy:
@@ -497,20 +497,18 @@ class TestErrorTable:
                     real.advance(*args)
 
             with usable_cores(cores), mock.patch.object(harness, "_load_kernel", Spy), \
-                    mock.patch.object(kernel, "_BLOCK_BUDGET", 2 * streams * len(tabs) * 5):
-                blocks = list(harness._run_blocks(c, t, streams, tabs))
+                    mock.patch.object(kernel, "_BLOCK_BUDGET", 2 * streams * len(cells) * 5):
+                blocks = list(_run_blocks(cells, t, streams))
             assert len(blocks) > 1
             return np.concatenate(blocks), states[-1]
 
-        tabs = np.stack([harness._table(c) for c in runs])
         for streams in (1, 2, 3):
-            x, st = path(runs[0], streams, tabs)
-            x3, st3 = path(runs[0], streams, tabs, cores=3)
+            x, st = path(runs, streams)
+            x3, st3 = path(runs, streams, cores=3)
             assert x3.tobytes() == x.tobytes() and st3.tobytes() == st.tobytes()
             for s in range(streams):
                 for c, run in enumerate(runs):
-                    one, one_st = path(dataclasses.replace(run, seed=run.seed ^ s), 1,
-                                       harness._table(run)[None])
+                    one, one_st = path([dataclasses.replace(run, seed=run.seed ^ s)], 1)
                     lane = np.ascontiguousarray(x[:, :, s * lanes + c])
                     assert lane.tobytes() == one[:, :, 0].tobytes()
                     assert st[s].tobytes() == one_st.tobytes()
@@ -639,11 +637,11 @@ class TestBlockBudget:
     def test_one_budget_bounds_every_kernel_call(self, case1, tmp_path):
         """Patched at 2 and 3 (below one record of advance, one RK4 step and
         one CSV row) and at 50, the budget bounds the values of each call of
-        advance (through _simulate, 9 streams of one lane, and through
-        error_table, one stream of 4), rk4 (through integrate) and
-        format_rows (through cli._write_csv) by max(budget, width), one
-        item's values, plus rk4's start row, and every output is the
-        unpatched one, byte for byte."""
+        advance (through run_ensemble and terminal_states, 9 streams of one
+        lane, and through error_table, one stream of 4), rk4 (through
+        integrate) and format_rows (through cli._write_csv) by
+        max(budget, width), one item's values, plus rk4's start row, and
+        every output is the unpatched one, byte for byte."""
         real, calls = _load_kernel(), []  # (function, values, item width)
 
         class Spy:
