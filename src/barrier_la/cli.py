@@ -64,6 +64,30 @@ def main(argv=None) -> int:
         return 1
 
 
+# Every flag but --preset, --game and --out, with its argparse settings.  Each
+# command names its flags below; error-table sets its own --steps default.
+_FLAGS = {
+    "model": dict(choices=["p", "s"], help="override the feedback model"),
+    "theta": dict(type=float, default=0.01),
+    "pmax": dict(type=float, default=0.99),
+    "steps": dict(type=int, default=100_000),
+    "seed": dict(type=int, default=42),
+    "p0": dict(type=float, default=0.5),
+    "q0": dict(type=float, default=0.5),
+    "stride": dict(type=int, default=100),
+    "runs": dict(type=int, default=1000),
+    "pmax-list": dict(required=True, help="comma-separated p_max values"),
+    "theta-list": dict(required=True, help="comma-separated theta values"),
+    "target-p": dict(type=float, help="target p1 (default: game equilibrium)"),
+    "target-q": dict(type=float, help="target q1 (default: game equilibrium)"),
+    "grid-n": dict(type=int, default=21),
+    "ode-step": dict(type=float, default=0.01),
+    "t-max": dict(type=float, default=1e4),
+}
+# the flags that simulate, ensemble and basin-split share
+_SIM = ("model", "theta", "pmax", "steps", "seed", "p0", "q0")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -72,9 +96,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_: str, func, *, csv: str = ""):
-        """A subcommand; func returns the Trajectory or columns that --out
-        receives under a given CSV header, else the payload printed as JSON."""
+    def add(name: str, help_: str, func, flags: tuple, *, csv: str = ""):
+        """A subcommand with the named _FLAGS; func returns the Trajectory or
+        columns that --out receives under header csv, else a JSON payload."""
         help_ = f"{help_}, CSV {csv}" if csv else help_
         p = sub.add_parser(name, help=help_, description=help_)
         src = p.add_mutually_exclusive_group(required=True)
@@ -82,62 +106,27 @@ def _build_parser() -> argparse.ArgumentParser:
         src.add_argument("--game", metavar="PATH", help="game spec JSON file")
         if csv:
             p.add_argument("--out", required=True, metavar="PATH", help="CSV output path")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
         p.set_defaults(func=func, csv=csv)
         return p
 
-    add("classify", "case classification plus equilibria as JSON", _cmd_classify)
-
-    p = add("simulate", "single seeded run", _cmd_simulate, csv="step,p1,q1")
-    _sim_flags(p)
-
-    p = add("ensemble", "mean over replicas", _cmd_ensemble, csv="step,mean_p1,mean_q1")
-    _sim_flags(p)
-    p.add_argument("--runs", type=int, default=1000)
-
-    p = add(
-        "error-table", "steady-state error per (p_max, theta) cell", _cmd_error_table,
-        csv="p_max,theta,error",
-    )
-    _sim_flags(p, learner=False, steps=5_000_000)
-    p.add_argument("--pmax-list", required=True, help="comma-separated p_max values")
-    p.add_argument("--theta-list", required=True, help="comma-separated theta values")
-    p.add_argument("--target-p", type=float, help="target p1 (default: game equilibrium)")
-    p.add_argument("--target-q", type=float, help="target q1 (default: game equilibrium)")
-
-    p = add("basin-split", "fraction of runs per stable fixed point, JSON", _cmd_basin_split)
-    _sim_flags(p, stride=False)  # only the final state of each run is used
-    p.add_argument("--runs", type=int, default=1000)
-
-    p = add("ode-field", "drift field on a lattice", _cmd_ode_field, csv="p1,q1,w1,w2")
-    p.add_argument("--pmax", type=float, default=0.99)
-    p.add_argument("--grid-n", type=int, default=21)
-
-    p = add("ode-trajectory", "RK4 path of the mean ODE", _cmd_ode_trajectory, csv="t,p1,q1")
-    p.add_argument("--pmax", type=float, default=0.99)
-    p.add_argument("--p0", type=float, default=0.5)
-    p.add_argument("--q0", type=float, default=0.5)
-    p.add_argument("--ode-step", type=float, default=0.01)
-    p.add_argument("--t-max", type=float, default=1e4)
-
-    p = add("fixed-points", "roots of the drift with stability, JSON", _cmd_fixed_points)
-    p.add_argument("--pmax", type=float, default=0.99)
-
+    add("classify", "case classification plus equilibria as JSON", _cmd_classify, ())
+    add("simulate", "single seeded run", _cmd_simulate, (*_SIM, "stride"), csv="step,p1,q1")
+    add("ensemble", "mean over replicas", _cmd_ensemble, (*_SIM, "stride", "runs"),
+        csv="step,mean_p1,mean_q1")
+    add("error-table", "steady-state error per (p_max, theta) cell", _cmd_error_table,
+        ("model", "steps", "seed", "p0", "q0", "stride", "pmax-list", "theta-list",
+         "target-p", "target-q"), csv="p_max,theta,error").set_defaults(steps=5_000_000)
+    # basin-split reads only the final state of each run, so it takes no --stride
+    add("basin-split", "fraction of runs per stable fixed point, JSON", _cmd_basin_split,
+        (*_SIM, "runs"))
+    add("ode-field", "drift field on a lattice", _cmd_ode_field, ("pmax", "grid-n"),
+        csv="p1,q1,w1,w2")
+    add("ode-trajectory", "RK4 path of the mean ODE", _cmd_ode_trajectory,
+        ("pmax", "p0", "q0", "ode-step", "t-max"), csv="t,p1,q1")
+    add("fixed-points", "roots of the drift with stability, JSON", _cmd_fixed_points, ("pmax",))
     return parser
-
-
-def _sim_flags(p, *, learner: bool = True, steps: int = 100_000, stride: bool = True) -> None:
-    """The flags of the commands that simulate; only these depend on the
-    feedback model."""
-    p.add_argument("--model", choices=["p", "s"], help="override the feedback model")
-    if learner:
-        p.add_argument("--theta", type=float, default=0.01)
-        p.add_argument("--pmax", type=float, default=0.99)
-    p.add_argument("--steps", type=int, default=steps)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--p0", type=float, default=0.5)
-    p.add_argument("--q0", type=float, default=0.5)
-    if stride:
-        p.add_argument("--stride", type=int, default=100)
 
 
 def _load_spec(args) -> GameSpec:

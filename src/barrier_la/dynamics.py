@@ -243,7 +243,14 @@ def fixed_points(spec: GameSpec, p_max: float) -> list[FixedPoint]:
 
 def _stability(det: float, trace: float) -> Stability:
     """The det/trace test of a 2x2 Jacobian: Stable iff det > 0 and
-    trace < 0, Saddle iff det < 0, else Unstable."""
+    trace < 0, Saddle iff det < 0, else Unstable.
+
+    At a fixed point (p, q), w = 0 eliminates d1a and d1b, leaving
+    trace = -p_min [d2a (2p^2 - 2p + p_max) / (p (p_max - p))
+    + d2b (2q^2 - 2q + p_max) / (q (p_max - q))].  For payoffs in [0, 1]
+    and p_max in (1/2, 1) each term is >= 0 inside the barrier box, so
+    trace < 0 unless d2a and d2b both vanish there: Unstable arises only
+    where det = 0."""
     if det > 0.0 and trace < 0.0:
         return Stability.STABLE
     if det < 0.0:

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import re
+import shlex
 import struct
 from pathlib import Path
 
@@ -185,6 +186,67 @@ def test_documented_commands_match_the_parser():
     root = Path(__file__).resolve().parents[1]
     docs = "".join((root / f).read_text() for f in ("README.md", "docs/reproduce.md"))
     assert set(re.findall(r"barrier-la ([a-z][a-z-]*)", docs)) == set(subcommands())
+    # every command line of the bash blocks, its continuations joined and
+    # docs/reproduce.md's loop variables given sample values, parses
+    shell = {"i": "1", "p0": "0.2", "q0": "0.8"}
+    lines = [
+        line.strip()
+        for block in re.findall(r"```bash\n(.*?)```", docs, re.S)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.strip().startswith("barrier-la ")
+    ]
+    assert {line.split()[1] for line in lines} == set(subcommands())
+    for line in lines:
+        argv = shlex.split(re.sub(r"\$(\w+)", lambda m: shell[m[1]], line), comments=True)
+        try:
+            _build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"documented command does not parse: {line}")
+
+
+# each command's minimal argv, and the namespace it parses to: every flag the
+# command takes, with its default (func by name)
+PARSED = {
+    "classify": ((), {"func": "_cmd_classify", "csv": ""}),
+    "simulate": (("--out", "x.csv"), {
+        "func": "_cmd_simulate", "csv": "step,p1,q1", "out": "x.csv", "model": None,
+        "theta": 0.01, "pmax": 0.99, "steps": 100_000, "seed": 42, "p0": 0.5, "q0": 0.5,
+        "stride": 100,
+    }),
+    "ensemble": (("--out", "x.csv"), {
+        "func": "_cmd_ensemble", "csv": "step,mean_p1,mean_q1", "out": "x.csv", "model": None,
+        "theta": 0.01, "pmax": 0.99, "steps": 100_000, "seed": 42, "p0": 0.5, "q0": 0.5,
+        "stride": 100, "runs": 1000,
+    }),
+    "error-table": (("--pmax-list", "0.99", "--theta-list", "0.01", "--out", "x.csv"), {
+        "func": "_cmd_error_table", "csv": "p_max,theta,error", "out": "x.csv", "model": None,
+        "steps": 5_000_000, "seed": 42, "p0": 0.5, "q0": 0.5, "stride": 100,
+        "pmax_list": "0.99", "theta_list": "0.01", "target_p": None, "target_q": None,
+    }),
+    "basin-split": ((), {
+        "func": "_cmd_basin_split", "csv": "", "model": None, "theta": 0.01, "pmax": 0.99,
+        "steps": 100_000, "seed": 42, "p0": 0.5, "q0": 0.5, "runs": 1000,
+    }),
+    "ode-field": (("--out", "x.csv"), {
+        "func": "_cmd_ode_field", "csv": "p1,q1,w1,w2", "out": "x.csv", "pmax": 0.99,
+        "grid_n": 21,
+    }),
+    "ode-trajectory": (("--out", "x.csv"), {
+        "func": "_cmd_ode_trajectory", "csv": "t,p1,q1", "out": "x.csv", "pmax": 0.99,
+        "p0": 0.5, "q0": 0.5, "ode_step": 0.01, "t_max": 1e4,
+    }),
+    "fixed-points": ((), {"func": "_cmd_fixed_points", "csv": "", "pmax": 0.99}),
+}
+
+
+@pytest.mark.parametrize("command", PARSED)
+def test_every_flag_and_default_is_pinned(command):
+    extra, flags = PARSED[command]
+    args = vars(_build_parser().parse_args([command, "--preset", "case1", *extra]))
+    args["func"] = args["func"].__name__
+    want = {"command": command, "preset": "case1", "game": None, **flags}
+    assert args == want
+    assert {k: type(v) for k, v in args.items()} == {k: type(v) for k, v in want.items()}
 
 
 def test_readme_quick_start_runs(capsys):

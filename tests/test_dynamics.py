@@ -463,6 +463,23 @@ class TestStability:
     def test_every_sign_case(self, det, trace, label):
         assert _stability(det, trace) is label
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p_max=st.floats(0.501, 0.999))
+    def test_trace_at_a_fixed_point_is_negative(self, seed, p_max):
+        # w = 0 eliminates d1a and d1b from the Jacobian's diagonal.  Nearer
+        # p_max = 1/2 or 1 the Newton tolerance |W| <= 1e-12 moves the root
+        # by more than 1e-9 of the trace
+        spec = random_game(np.random.default_rng(seed))
+        for fp in fixed_points(spec, p_max):
+            p, q = fp.x.p1, fp.x.q1
+            _, d2a, _, d2b = _drives(spec, p, q)
+            law = -(1.0 - p_max) * (
+                d2a * (2 * p * p - 2 * p + p_max) / (p * (p_max - p))
+                + d2b * (2 * q * q - 2 * q + p_max) / (q * (p_max - q))
+            )
+            assert fp.trace == pytest.approx(law, rel=1e-9, abs=0.0)
+            assert fp.trace < 0.0
+
 
 class TestBarrierContainment:
     @settings(max_examples=150, deadline=None)
